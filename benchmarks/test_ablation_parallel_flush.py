@@ -10,12 +10,15 @@ protocol's linear slope disappears.
 """
 
 from repro.evalkit.stats import linear_fit, mean_excluding
-from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import RuntimeConfig, SyncConfig
 from repro.runtime.system import DistributedSystem
 
 
 def _mean_sync(users: int, parallel: bool, duration: float = 60.0) -> float:
-    config = RuntimeConfig(sync_interval=1.0, parallel_flush=parallel)
+    config = RuntimeConfig(
+        sync_interval=1.0,
+        sync=SyncConfig(collection="concurrent" if parallel else "sequential"),
+    )
     system = DistributedSystem(n_machines=users, seed=19, config=config)
     system.start(first_sync_delay=0.1)
     system.run_for(duration)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.core.guesstimate import Guesstimate, IssueTicket
 from repro.core.serialization import shared_type
-from repro.core.shared_object import GSharedObject, absorbing
+from repro.core.shared_object import GSharedObject
 from repro.spec import ensures, invariant, modifies
 
 
@@ -88,7 +88,6 @@ class SharedDoc(GSharedObject):
         del self.lines[index]
         return True
 
-    @absorbing(keys=1)
     @ensures(
         lambda old, self, result, index, author, text: (not result)
         or len(self.lines) == len(old["lines"]),

@@ -27,10 +27,6 @@ class PendingEntry:
     key, the operation tree, the completion routine (run on the issuing
     machine only), and bookkeeping used by the evaluation (issue-time
     result and virtual timestamps).
-
-    ``absorbed`` holds entries this one superseded during op-log
-    compaction (``SyncConfig.compact_flush``): they never ride the
-    round, but their completions fire with this entry's commit result.
     """
 
     key: OpKey
@@ -39,7 +35,6 @@ class PendingEntry:
     issue_result: bool
     issued_at: float
     executions: int = 1  # issue counts as the first execution
-    absorbed: tuple = ()
 
 
 @dataclass(slots=True)

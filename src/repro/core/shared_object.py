@@ -27,41 +27,6 @@ from repro.errors import SharedObjectError
 #: Attribute names the runtime plants on replicas; never part of state.
 _RUNTIME_FIELDS = ("_g_unique_id",)
 
-#: Attribute planted by :func:`absorbing` on last-write-wins methods.
-ABSORBING_ATTR = "__g_absorbing_keys__"
-
-
-def absorbing(keys: int = 0):
-    """Declare a shared method *absorbing*: a later call supersedes an
-    earlier one on the same key.
-
-    ``keys`` is how many leading arguments identify the written slot —
-    two calls with the same first ``keys`` args write the same place,
-    and the later call's effect alone equals the pair's combined effect
-    (last-write-wins): ``B(A(S)) == B(S)`` whenever ``B`` succeeds.
-
-    The op-log compactor (``SyncConfig.compact_flush``) uses this to
-    coalesce a machine's pending stream before flush: only the final
-    write to each slot rides the round; absorbed completions fire with
-    the survivor's commit result.  Only annotate methods for which the
-    last-write-wins law genuinely holds — e.g. "set cell", "replace
-    line" — never accumulating ones like "increment".
-    """
-    if not isinstance(keys, int) or keys < 0:
-        raise SharedObjectError("absorbing(keys=...) needs a non-negative int")
-
-    def _mark(fn):
-        setattr(fn, ABSORBING_ATTR, keys)
-        return fn
-
-    return _mark
-
-
-def absorbing_keys(cls: type, method_name: str) -> int | None:
-    """``keys`` of an :func:`absorbing` method, or None if not absorbing."""
-    fn = getattr(cls, method_name, None)
-    return getattr(fn, ABSORBING_ATTR, None)
-
 
 class GSharedObject:
     """Base class for all shared objects.

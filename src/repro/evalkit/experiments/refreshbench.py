@@ -8,15 +8,17 @@ advanced plus objects the pending replay dirtied — O(touched state).
 
 This experiment measures exactly that trade on a many-objects workload:
 *n* counters live in the store, every round's operations touch 1-2 of
-them (singles plus the occasional two-object atomic).  Both refresh
-strategies run side by side (``delta_refresh`` on/off) over identical
-workloads, and the headline number is ``refresh_objects_copied`` per
-round — the naive copy moves the whole store every round, the delta a
-handful.  Durable-memory snapshotting is left on so the version-keyed
+them (singles plus the occasional two-object atomic).  One run yields
+both sides: ``refresh_objects_copied`` is what the delta refresh moved,
+``refresh_objects_live`` (the committed store's size, summed over the
+same refreshes) is what the full copy would have moved.  The wall-time
+A/B of the two store primitives is a rung of ``bench/ladder.py``
+(``core.refresh_full_us`` vs ``core.refresh_delta_us``).
+Durable-memory snapshotting is left on so the version-keyed
 ``snapshot_states`` cache is exercised too (unchanged objects re-use
 their serialized entry across WAL snapshots).
 
-Every run must still converge with the paper invariants intact
+The run must still converge with the paper invariants intact
 (``check_all_invariants`` — identical ``sc``/``C`` everywhere and
 ``[P](sc) = sg``); the speedup is worthless if the semantics drifted.
 
@@ -30,35 +32,30 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.evalkit.experiments.durability import DurableCounter
 from repro.runtime.config import RuntimeConfig, SyncConfig
 from repro.runtime.system import DistributedSystem
-
-#: Refresh strategies measured side by side.  "full" is the paper's
-#: literal copy of the whole committed store every round; "delta" the
-#: versioned-store rebuild (copy only what changed).
-MODES = ("full", "delta")
 
 #: increment() never saturates in these runs
 LIMIT = 10**9
 
 
 @dataclass
-class ModePoint:
-    """One (refresh mode, object count) measurement — workload phase
-    only (object creation is excluded by baseline subtraction)."""
+class RefreshScaleResult:
+    """One run's refresh counters — workload phase only (object
+    creation is excluded by baseline subtraction)."""
 
-    mode: str
     objects: int
+    machines: int
+    duration: float
     rounds: int = 0
     refresh_rounds: int = 0
+    #: what the delta refresh copied committed -> guess
     refresh_objects_copied: int = 0
+    #: what a full copy would have copied over the same refreshes
     refresh_objects_live: int = 0
-    copies_per_round: float = 0.0
-    #: copied / live — 1.0 for the naive full copy, << 1 for delta
-    copy_ratio: float = 0.0
     ops_committed: int = 0
     mean_round_s: float = 0.0
     decode_cache_hits: int = 0
@@ -67,34 +64,19 @@ class ModePoint:
     snapshot_cache_misses: int = 0
     invariants_ok: bool = False
 
-
-@dataclass
-class RefreshScaleResult:
-    objects: int
-    machines: int
-    duration: float
-    points: list[ModePoint] = field(default_factory=list)
-
-    def point(self, mode: str) -> ModePoint:
-        return next(p for p in self.points if p.mode == mode)
+    @property
+    def copies_per_round(self) -> float:
+        return self.refresh_objects_copied / max(1, self.refresh_rounds)
 
     def copy_reduction(self) -> float:
-        """full / delta objects-copied-per-refresh ratio (the headline:
-        how many fewer copies the versioned store does per round)."""
-        full, delta = self.point("full"), self.point("delta")
-        if full.refresh_rounds == 0 or delta.refresh_rounds == 0:
-            return 0.0
-        full_rate = full.refresh_objects_copied / full.refresh_rounds
-        delta_rate = delta.refresh_objects_copied / delta.refresh_rounds
-        if delta_rate <= 0.0:
-            return float("inf")
-        return full_rate / delta_rate
+        """full / delta objects copied (the headline: how many fewer
+        copies the versioned store does per round)."""
+        return self.refresh_objects_live / max(1, self.refresh_objects_copied)
 
 
-def _config(mode: str) -> RuntimeConfig:
+def _config() -> RuntimeConfig:
     return RuntimeConfig(
         sync_interval=0.5,
-        delta_refresh=(mode == "delta"),
         # durable-memory snapshots exercise the version-keyed
         # snapshot_states cache without touching disk
         durability="memory",
@@ -157,62 +139,47 @@ def _refresh_totals(system: DistributedSystem) -> tuple[int, int, int]:
     )
 
 
-def _measure(
-    mode: str, objects: int, machines: int, duration: float, seed: int
-) -> ModePoint:
-    system = DistributedSystem(
-        n_machines=machines, seed=seed, config=_config(mode)
-    )
-    system.start(first_sync_delay=0.1)
-    uids = _create_objects(system, objects)
-    # Baseline after setup: creation dirties every object once in both
-    # modes, which would drown the steady-state signal.
-    base_rounds, base_copied, base_live = _refresh_totals(system)
-    base_sync = len(system.metrics.sync_records)
-    _drive_workload(system, uids, duration, seed + 1)
-    system.stop()
-
-    point = ModePoint(mode=mode, objects=objects)
-    try:
-        system.check_all_invariants()
-        point.invariants_ok = True
-    except AssertionError:  # pragma: no cover - failure path
-        point.invariants_ok = False
-
-    rounds, copied, live = _refresh_totals(system)
-    point.refresh_rounds = rounds - base_rounds
-    point.refresh_objects_copied = copied - base_copied
-    point.refresh_objects_live = live - base_live
-    if point.refresh_rounds > 0:
-        point.copies_per_round = point.refresh_objects_copied / point.refresh_rounds
-    if point.refresh_objects_live > 0:
-        point.copy_ratio = point.refresh_objects_copied / point.refresh_objects_live
-
-    records = system.metrics.sync_records[base_sync:]
-    point.rounds = len(records)
-    point.ops_committed = sum(r.ops_committed for r in records)
-    if records:
-        point.mean_round_s = sum(r.duration for r in records) / len(records)
-    point.decode_cache_hits = system.metrics.total_decode_cache_hits()
-    point.decode_cache_misses = system.metrics.total_decode_cache_misses()
-    for machine_id in system.machine_ids():
-        store = system.node(machine_id).model.committed
-        point.snapshot_cache_hits += store.snapshot_cache_hits
-        point.snapshot_cache_misses += store.snapshot_cache_misses
-    return point
-
-
 def run(
     objects: int = 2000,
     machines: int = 4,
     duration: float = 30.0,
     seed: int = 29,
 ) -> RefreshScaleResult:
+    system = DistributedSystem(n_machines=machines, seed=seed, config=_config())
+    system.start(first_sync_delay=0.1)
+    uids = _create_objects(system, objects)
+    # Baseline after setup: creation dirties every object once, which
+    # would drown the steady-state signal.
+    base_rounds, base_copied, base_live = _refresh_totals(system)
+    base_sync = len(system.metrics.sync_records)
+    _drive_workload(system, uids, duration, seed + 1)
+    system.stop()
+
     result = RefreshScaleResult(
         objects=objects, machines=machines, duration=duration
     )
-    for mode in MODES:
-        result.points.append(_measure(mode, objects, machines, duration, seed))
+    try:
+        system.check_all_invariants()
+        result.invariants_ok = True
+    except AssertionError:  # pragma: no cover - failure path
+        result.invariants_ok = False
+
+    rounds, copied, live = _refresh_totals(system)
+    result.refresh_rounds = rounds - base_rounds
+    result.refresh_objects_copied = copied - base_copied
+    result.refresh_objects_live = live - base_live
+
+    records = system.metrics.sync_records[base_sync:]
+    result.rounds = len(records)
+    result.ops_committed = sum(r.ops_committed for r in records)
+    if records:
+        result.mean_round_s = sum(r.duration for r in records) / len(records)
+    result.decode_cache_hits = system.metrics.total_decode_cache_hits()
+    result.decode_cache_misses = system.metrics.total_decode_cache_misses()
+    for machine_id in system.machine_ids():
+        store = system.node(machine_id).model.committed
+        result.snapshot_cache_hits += store.snapshot_cache_hits
+        result.snapshot_cache_misses += store.snapshot_cache_misses
     return result
 
 
@@ -226,24 +193,18 @@ def to_bench_json(result: RefreshScaleResult) -> dict:
             "machines": result.machines,
             "duration_s": result.duration,
         },
-        "modes": {
-            p.mode: {
-                "rounds": p.rounds,
-                "refresh_rounds": p.refresh_rounds,
-                "refresh_objects_copied": p.refresh_objects_copied,
-                "refresh_objects_live": p.refresh_objects_live,
-                "copies_per_round": round(p.copies_per_round, 3),
-                "copy_ratio": round(p.copy_ratio, 6),
-                "ops_committed": p.ops_committed,
-                "mean_round_latency_s": round(p.mean_round_s, 6),
-                "decode_cache_hits": p.decode_cache_hits,
-                "decode_cache_misses": p.decode_cache_misses,
-                "snapshot_cache_hits": p.snapshot_cache_hits,
-                "snapshot_cache_misses": p.snapshot_cache_misses,
-                "invariants_ok": p.invariants_ok,
-            }
-            for p in result.points
-        },
+        "rounds": result.rounds,
+        "refresh_rounds": result.refresh_rounds,
+        "refresh_objects_copied": result.refresh_objects_copied,
+        "refresh_objects_live": result.refresh_objects_live,
+        "copies_per_round": round(result.copies_per_round, 3),
+        "ops_committed": result.ops_committed,
+        "mean_round_latency_s": round(result.mean_round_s, 6),
+        "decode_cache_hits": result.decode_cache_hits,
+        "decode_cache_misses": result.decode_cache_misses,
+        "snapshot_cache_hits": result.snapshot_cache_hits,
+        "snapshot_cache_misses": result.snapshot_cache_misses,
+        "invariants_ok": result.invariants_ok,
         "copy_reduction_full_over_delta": round(result.copy_reduction(), 3),
     }
 
@@ -258,31 +219,20 @@ def write_bench_json(
 
 
 def format_report(result: RefreshScaleResult) -> str:
-    lines = [
-        "Guess refresh — objects copied committed -> guess per round",
-        f"  ({result.objects} live objects, {result.machines} machines, "
-        f"{result.duration:.0f}s virtual; ops touch 1-2 objects)",
-        f"  {'mode':>6} | {'refreshes':>9} | {'copied':>9} | "
-        f"{'copied/round':>12} | {'copy ratio':>10} | {'invariants':>10}",
-        "  " + "-" * 70,
-    ]
-    for point in result.points:
-        lines.append(
-            f"  {point.mode:>6} | {point.refresh_rounds:>9} | "
-            f"{point.refresh_objects_copied:>9} | "
-            f"{point.copies_per_round:>12.1f} | {point.copy_ratio:>10.4f} | "
-            f"{'ok' if point.invariants_ok else 'FAILED':>10}"
-        )
-    delta = result.point("delta")
-    lines.append("")
-    lines.append(
-        f"  copy reduction (full/delta, per refresh): "
-        f"{result.copy_reduction():.1f}x"
+    return "\n".join(
+        [
+            "Guess refresh — objects copied committed -> guess per round",
+            f"  ({result.objects} live objects, {result.machines} machines, "
+            f"{result.duration:.0f}s virtual; ops touch 1-2 objects)",
+            f"  refreshes: {result.refresh_rounds}   invariants: "
+            f"{'ok' if result.invariants_ok else 'FAILED'}",
+            f"  delta refresh copied {result.refresh_objects_copied} objects "
+            f"({result.copies_per_round:.1f}/round)",
+            f"  a full copy would move {result.refresh_objects_live}",
+            f"  copy reduction (full/delta): {result.copy_reduction():.1f}x",
+            f"  decode cache: {result.decode_cache_hits} hits / "
+            f"{result.decode_cache_misses} misses;  snapshot cache: "
+            f"{result.snapshot_cache_hits} hits / "
+            f"{result.snapshot_cache_misses} misses",
+        ]
     )
-    lines.append(
-        f"  decode cache: {delta.decode_cache_hits} hits / "
-        f"{delta.decode_cache_misses} misses;  snapshot cache: "
-        f"{delta.snapshot_cache_hits} hits / {delta.snapshot_cache_misses} "
-        "misses (delta mode)"
-    )
-    return "\n".join(lines)

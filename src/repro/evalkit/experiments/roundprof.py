@@ -75,9 +75,6 @@ def _profiled_run(
             collection="concurrent",
             batch_max_ops=64,
             pipeline_depth=2,
-            scheduled_rounds=True,
-            speculative_apply=True,
-            compact_flush=True,
         ),
     )
     system = DistributedSystem(n_machines=machines, seed=seed, config=config)

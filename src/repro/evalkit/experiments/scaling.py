@@ -33,9 +33,6 @@ class ScalingResult:
 
 
 def _mean_sync(users: int, parallel: bool, duration: float, seed: int) -> float:
-    # Pin the collection mode explicitly: this experiment *compares*
-    # the two, so the ambient GUESSTIMATE_COLLECTION default must not
-    # flip the serial arm.
     config = RuntimeConfig(
         sync_interval=1.0,
         sync=SyncConfig(collection="concurrent" if parallel else "sequential"),

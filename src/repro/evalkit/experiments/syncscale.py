@@ -1,16 +1,11 @@
 """Synchronization-pipeline throughput benchmark (``BENCH_sync.json``).
 
 The paper's stage 1 is serial token passing, so round latency grows
-linearly with the machine count.  The rebuilt pipeline adds five
-levers — concurrent collection, OpBatch framing, master-side round
-pipelining, scheduled rounds (the StartSync pre-announced during the
-idle gap, so the collect hop leaves the critical path), and
-speculative apply (counts self-assembled from broadcast FlushDones, so
-the BeginApply hop leaves it too) — plus flush compaction of
-superseded last-write-wins ops.  This experiment measures what they
-buy: per-round latency and commit throughput versus *n* machines, for
-the sequential baseline and the fully-levered concurrent mode side by
-side.
+linearly with the machine count.  The rebuilt pipeline adds three
+levers — concurrent collection, OpBatch framing and master-side round
+pipelining.  This experiment measures what they buy: per-round latency
+and commit throughput versus *n* machines, for the sequential baseline
+and the pipelined concurrent mode side by side.
 
 It also validates that the levers change *performance only*: a
 commit-point crash (:class:`~repro.net.faults.CommitCrashPlan`) is
@@ -86,9 +81,6 @@ def _mode_config(mode: str, pipeline_depth: int, batch_max_ops: int) -> RuntimeC
             collection="concurrent",
             batch_max_ops=batch_max_ops,
             pipeline_depth=pipeline_depth,
-            scheduled_rounds=True,
-            speculative_apply=True,
-            compact_flush=True,
         )
     return RuntimeConfig(sync_interval=0.5, sync=sync)
 
@@ -271,8 +263,7 @@ def format_report(result: SyncScaleResult) -> str:
     lines = [
         "Synchronization pipeline — round latency and commit throughput",
         f"  ({result.duration:.0f}s virtual per point; concurrent = "
-        "parallel collect + OpBatch + pipeline depth 2 + scheduled "
-        "rounds + speculative apply)",
+        "parallel collect + OpBatch + pipeline depth 2)",
         f"  {'machines':>8} | {'mode':>10} | {'rounds':>6} | "
         f"{'mean round (ms)':>15} | {'ops/s':>8} | {'batches':>7}",
         "  " + "-" * 70,

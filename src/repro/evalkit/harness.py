@@ -13,11 +13,17 @@ from dataclasses import dataclass, field
 from repro.errors import ExperimentError
 from repro.net.faults import FaultInjector
 from repro.net.latency import LatencyModel, lan_profile
-from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import RuntimeConfig, SyncConfig
 from repro.runtime.system import DistributedSystem
 from repro.spec.contracts import set_checking
 from repro.workloads.activity import ActivityModel
 from repro.workloads.drivers import SessionStats, SudokuSession
+
+
+def paper_runtime() -> RuntimeConfig:
+    """The paper's protocol: serial ``YourTurn`` collection, under which
+    the timing defaults are calibrated to the section-7 figures."""
+    return RuntimeConfig(sync=SyncConfig(collection="sequential"))
 
 
 @dataclass
@@ -31,7 +37,7 @@ class SessionConfig:
     activity: ActivityModel = field(default_factory=ActivityModel)
     latency: LatencyModel | None = None
     faults: FaultInjector | None = None
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
+    runtime: RuntimeConfig = field(default_factory=paper_runtime)
     #: contracts cost ~2x on hot paths; experiments turn them off like
     #: a release build (tests keep them on).
     contracts: bool = False

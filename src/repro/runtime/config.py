@@ -1,29 +1,21 @@
 """Runtime tuning knobs.
 
-Defaults are calibrated so that the simulated system lands in the
-paper's measured bands on the default LAN latency profile: an 8-user
-synchronization completes "within 0.5 seconds most of the time"
-(Figure 5), sync time grows roughly linearly with users at a slope that
-keeps 100 users under ~3 seconds (Figure 6), and a full fault recovery
-(two stall timeouts) costs more than 12 seconds (Figure 5's outliers).
+Timing defaults are calibrated so that the simulated system, *under the
+paper's sequential collection strategy*
+(``SyncConfig(collection="sequential")``, which the figure experiments
+pin), lands in the paper's measured bands on the default LAN latency
+profile: an 8-user synchronization completes "within 0.5 seconds most
+of the time" (Figure 5), sync time grows roughly linearly with users at
+a slope that keeps 100 users under ~3 seconds (Figure 6), and a full
+fault recovery (two stall timeouts) costs more than 12 seconds
+(Figure 5's outliers).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-#: Environment variable consulted for the *default* collection mode.
-#: CI runs the whole suite once per mode by exporting it; explicit
-#: ``SyncConfig(collection=...)`` always wins over the environment.
-COLLECTION_ENV_VAR = "GUESSTIMATE_COLLECTION"
-
 COLLECTION_MODES = ("sequential", "concurrent")
-
-
-def _default_collection() -> str:
-    mode = os.environ.get(COLLECTION_ENV_VAR, "sequential").strip().lower()
-    return mode if mode in COLLECTION_MODES else "sequential"
 
 
 @dataclass(frozen=True)
@@ -32,15 +24,14 @@ class SyncConfig:
     operation batching, and round pipelining).
 
     * ``collection`` — how the master collects pending operations:
-      ``"sequential"`` reproduces the paper's token-passing round (the
-      master grants ``YourTurn`` to one machine at a time), while
-      ``"concurrent"`` broadcasts a single collect signal and every
-      participant flushes at once; arrivals are ordered
-      deterministically by ``(machine_id, seq)`` so both modes commit
-      the identical global sequence.  ``None`` (the default) resolves
-      to the ``GUESSTIMATE_COLLECTION`` environment variable, falling
-      back to ``"sequential"`` — which is how CI runs the full suite
-      across both modes.
+      ``"concurrent"`` (the default; the paper's section-9 extension)
+      broadcasts a single collect signal and every participant flushes
+      at once, while ``"sequential"`` reproduces the paper's
+      token-passing round (the master grants ``YourTurn`` to one
+      machine at a time) — the reference the figure experiments and
+      the protocol-order tests compare against.  Arrivals are ordered
+      deterministically by ``(machine_id, seq)``, so both modes commit
+      the identical global sequence.
     * ``batch_max_ops`` — flushed operations ride in size-capped
       :class:`~repro.runtime.messages.OpBatch` frames instead of one
       message per operation; this caps the entries per frame.
@@ -50,34 +41,14 @@ class SyncConfig:
       overlapping collection with the previous round's commit+ack
       latency.  Slaves always apply rounds in round-id order, so the
       committed sequence is unaffected.  Depth 1 disables pipelining.
-    * ``scheduled_rounds`` — the master pre-announces the next round's
-      StartSync (with a ``start_at`` timestamp) during the idle gap, so
-      every participant flushes *at* the round boundary instead of one
-      network hop after it.  Removes the StartSync hop from the
-      critical path.  Concurrent collection only; ignored elsewhere.
-    * ``speculative_apply`` — a slave holding a FlushDone from every
-      participant self-assembles the authoritative counts and applies
-      without waiting for the master's BeginApply, acking with a counts
-      fingerprint the master validates (mismatch evicts + restarts the
-      speculator).  Removes the BeginApply hop from the critical path.
-      Concurrent collection only; ignored elsewhere.
-    * ``compact_flush`` — before a flush rides the wire, pending
-      operations superseded by a later absorbing operation (see
-      :func:`repro.core.shared_object.absorbing`) on the same
-      (object, key) from the same issuer are coalesced: only the final
-      write is flushed, absorbed completions fire with its commit
-      result.
     """
 
-    collection: str | None = None
+    collection: str = "concurrent"
     batch_max_ops: int = 64
     pipeline_depth: int = 1
-    scheduled_rounds: bool = False
-    speculative_apply: bool = False
-    compact_flush: bool = False
 
     def __post_init__(self):
-        if self.collection is not None and self.collection not in COLLECTION_MODES:
+        if self.collection not in COLLECTION_MODES:
             raise ValueError(
                 f"collection must be one of {COLLECTION_MODES}, "
                 f"got {self.collection!r}"
@@ -86,13 +57,6 @@ class SyncConfig:
             raise ValueError("batch_max_ops must be >= 1")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
-
-    @property
-    def collection_mode(self) -> str:
-        """The effective collection mode (environment-resolved)."""
-        if self.collection is not None:
-            return self.collection
-        return _default_collection()
 
 
 @dataclass(frozen=True)
@@ -132,15 +96,6 @@ class RuntimeConfig:
     #: it off for speed).
     tracing: bool = False
 
-    #: Guess refresh strategy for ApplyUpdatesFromMesh: True (default)
-    #: copies only objects whose committed version advanced plus
-    #: objects dirtied by pending-op replays — O(touched state) per
-    #: round; False reproduces the paper's literal full copy of the
-    #: committed store — O(total state).  Semantics are identical (the
-    #: simfuzz refresh oracle and Hypothesis properties assert it);
-    #: the flag exists for A/B benchmarking and as an escape hatch.
-    delta_refresh: bool = True
-
     #: Cross-check every delta refresh against a full-copy shadow
     #: rebuild ([P](sc) must equal the refreshed sg) and raise on
     #: divergence.  O(total state) per round — for the simulation
@@ -148,18 +103,6 @@ class RuntimeConfig:
     refresh_oracle: bool = False
 
     # -- future-work extensions (paper section 9) ------------------------
-
-    #: Parallelize AddUpdatesToMesh: all machines flush on StartSync
-    #: instead of taking serial turns.  The paper proposes exactly this
-    #: to scale past ~1000 users ("parallelize the first stage of the
-    #: synchronization protocol so that the time taken depends only on
-    #: the number of operations and the network delay but not on the
-    #: number of users").  Off by default: the paper kept stage 1
-    #: serial "purely for ease of monitoring and debugging".
-    #: Legacy alias: ``parallel_flush=True`` is equivalent to
-    #: ``sync=SyncConfig(collection="concurrent")`` and kept for
-    #: backward compatibility; prefer ``sync``.
-    parallel_flush: bool = False
 
     #: Synchronization pipeline shape: stage-1 collection mode
     #: (sequential token passing vs concurrent flush), OpBatch size
@@ -214,16 +157,3 @@ class RuntimeConfig:
     def removal_threshold(self) -> float:
         """Time after which a stalled machine gets removed (2 timeouts)."""
         return 2 * self.stall_timeout
-
-    @property
-    def collection_mode(self) -> str:
-        """The effective stage-1 collection mode.
-
-        ``parallel_flush=True`` (the legacy flag) forces
-        ``"concurrent"``; otherwise :class:`SyncConfig` decides
-        (explicit value, else the ``GUESSTIMATE_COLLECTION``
-        environment default).
-        """
-        if self.parallel_flush:
-            return "concurrent"
-        return self.sync.collection_mode

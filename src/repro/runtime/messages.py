@@ -39,18 +39,11 @@ class StartSync:
     """Master → all: a synchronization round begins; ``order`` is the
     turn order (master first).  With ``parallel`` set (the section-9
     extension) every machine flushes immediately instead of waiting for
-    its turn.
-
-    ``start_at`` is set on *pre-announced* rounds (the
-    ``scheduled_rounds`` optimization): the round does not begin now
-    but at that virtual time — every participant arms a flush timer
-    for ``start_at`` instead of flushing on receipt, which removes the
-    StartSync network hop from the round's critical path."""
+    its turn."""
 
     round_id: int
     order: tuple[str, ...]
     parallel: bool = False
-    start_at: float | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,18 +87,10 @@ class BeginApply:
 
 @dataclass(frozen=True, slots=True)
 class ApplyAck:
-    """One machine → all (master consumes): I applied every operation.
-
-    ``counts`` is the fingerprint of the per-machine operation counts
-    this machine applied.  It is only set on *speculative* acks (the
-    ``speculative_apply`` optimization, where a slave assembles counts
-    from FlushDones itself instead of waiting for BeginApply); the
-    master validates it against the authoritative counts and evicts a
-    speculator that applied the wrong round composition."""
+    """One machine → all (master consumes): I applied every operation."""
 
     round_id: int
     machine_id: str
-    counts: tuple[tuple[str, int], ...] | None = None
 
 
 @dataclass(frozen=True, slots=True)

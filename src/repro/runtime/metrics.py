@@ -89,17 +89,6 @@ class NodeMetrics:
     #: per-round decode memo, vs. decodes actually performed
     decode_cache_hits: int = 0
     decode_cache_misses: int = 0
-    #: pending ops coalesced away by flush compaction
-    #: (``SyncConfig.compact_flush``): superseded by a later absorbing
-    #: write to the same slot, so they never rode a round
-    ops_compacted: int = 0
-    #: rounds whose StartSync rode the idle gap
-    #: (``SyncConfig.scheduled_rounds``); master-side counter
-    rounds_preannounced: int = 0
-    #: blocks committed by the streaming apply *before* the master's
-    #: BeginApply pinned the authoritative counts
-    #: (``SyncConfig.speculative_apply``)
-    blocks_streamed: int = 0
 
     def record_execution(self, key: OpKey) -> None:
         self.executions[key] = self.executions.get(key, 0) + 1
@@ -214,6 +203,3 @@ class SystemMetrics:
 
     def total_decode_cache_misses(self) -> int:
         return sum(m.decode_cache_misses for m in self.node_metrics.values())
-
-    def total_ops_compacted(self) -> int:
-        return sum(m.ops_compacted for m in self.node_metrics.values())

@@ -238,21 +238,11 @@ class GuesstimateNode(Host):
         """
         self.metrics.restarts += 1
         self.trace(Tracer.RECOVERY, action="restart")
-        # A suspect WAL (speculatively streamed blocks of a round the
-        # cluster committed differently) must not be announced as a
-        # recovered prefix: rejoin through the full-snapshot Welcome,
-        # which rebases the store.
-        wal_suspect = self.synchronizer.wal_suspect
-        self.synchronizer.wal_suspect = False
         self.synchronizer.reset()
         # Operation numbering must survive the restart: reusing keys
         # would collide with this machine's already-committed history.
         op_counter = self.model._op_counter
-        if wal_suspect:
-            self.trace(Tracer.STORAGE, action="suspect_wal_discarded")
-            recovered = None
-        else:
-            recovered = self.storage.recover()
+        recovered = self.storage.recover()
         if recovered is not None:
             self.model = self._rebuild_from_storage(recovered)
             self.completed_offset = recovered.base_offset

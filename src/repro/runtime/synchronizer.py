@@ -4,16 +4,21 @@ Every node runs a :class:`Synchronizer`; the designated master node
 additionally runs a :class:`MasterControl` that initiates rounds,
 grants flush turns, watches for stalls and drives recovery.
 
-Stage 1 — **AddUpdatesToMesh**.  Two collection modes
-(:class:`~repro.runtime.config.SyncConfig.collection`):
+Stage 1 — **AddUpdatesToMesh**.  Two collection strategies
+(:class:`~repro.runtime.config.SyncConfig.collection`), chosen when
+the master creates the round:
 
-* ``sequential`` — the paper's protocol: the master grants each
-  machine its turn (:class:`~repro.runtime.messages.YourTurn`) and
-  round latency grows linearly with the participant count;
-* ``concurrent`` — the master broadcasts one collect signal
-  (``StartSync(parallel=True)``) and every participant flushes at
-  once; arrivals are ordered deterministically by
-  ``(machine_id, seq)``, so the committed sequence is identical.
+* ``concurrent`` (the default; the paper's section-9 extension) — the
+  master broadcasts one collect signal (``StartSync(parallel=True)``)
+  and every participant flushes at once;
+* ``sequential`` — the paper's protocol, kept as the fidelity
+  reference: the master grants each machine its turn
+  (:class:`~repro.runtime.messages.YourTurn`) and round latency grows
+  linearly with the participant count.
+
+Arrivals are ordered deterministically by ``(machine_id, seq)``, so
+both commit the identical sequence, through the one apply path
+(:meth:`Synchronizer._apply`).
 
 In either mode a flush ships the pending list as size-capped
 :class:`~repro.runtime.messages.OpBatch` frames (``batch_max_ops``
@@ -53,9 +58,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.machine import CompletedEntry, PendingEntry
-from repro.core.operations import OpKey, PrimitiveOp
+from repro.core.operations import OpKey
 from repro.core.serialization import decode_op, encode_op
-from repro.core.shared_object import absorbing_keys
 from repro.runtime import messages as msg
 from repro.runtime.tracing import Tracer
 
@@ -92,30 +96,6 @@ class RoundState:
     missing_timer: object | None = None
     #: per-round decode_op memo (resends/replays reuse decoded trees)
     decoded: dict[OpKey, object] = field(default_factory=dict)
-    #: armed flush timer for a pre-announced round (scheduled_rounds)
-    flush_timer: object | None = None
-    #: FlushDone counts observed by this node (speculative_apply input)
-    flush_done: dict[str, int] = field(default_factory=dict)
-    #: machine -> claimed OpBatch frame total / {seq: ops in frame}.
-    #: When every frame of a machine's flush has arrived, its block is
-    #: complete even before its FlushDone — only trustworthy while
-    #: ``counts`` is None (resends reframe, but are only requested
-    #: after BeginApply pins the counts).
-    batch_total: dict[str, int] = field(default_factory=dict)
-    batch_frames: dict[str, dict[int, int]] = field(default_factory=dict)
-    #: a ParticipantRemoved was seen for this round — speculation off
-    removals_seen: bool = False
-    #: some ops committed against counts self-assembled from FlushDones
-    #: rather than from BeginApply; the ApplyAck then carries a
-    #: fingerprint the master validates
-    speculative: bool = False
-    #: machine -> op count of blocks already committed by the streaming
-    #: apply (lexicographic machine order; also the ack fingerprint)
-    stream_done: dict[str, int] = field(default_factory=dict)
-    #: a block's apply-CPU charge is in progress
-    stream_busy: bool = False
-    #: object ids touched by successful remote ops (remote-update hooks)
-    stream_remote_touched: set[str] = field(default_factory=set)
 
     def received_count_from(self, machine_id: str) -> int:
         return sum(1 for key in self.received if key.machine_id == machine_id)
@@ -165,12 +145,6 @@ class Synchronizer:
         #: gapped history to the WAL, which recovery would then announce
         #: as a clean prefix.  All applies stop until restart/reset.
         self.evicted: bool = False
-        #: the WAL may hold stream-committed blocks of a round the
-        #: cluster committed differently (or not at all).  The durable
-        #: log is then no longer a trustworthy prefix of the global
-        #: order, so restart must NOT announce a recovered tail — it
-        #: takes the full-snapshot Welcome, which rebases the store.
-        self.wal_suspect: bool = False
 
     # -- message dispatch -----------------------------------------------------
 
@@ -214,8 +188,6 @@ class Synchronizer:
         elif isinstance(payload, msg.YourTurn):
             if payload.machine_id == node.machine_id:
                 self._on_your_turn(payload)
-        elif isinstance(payload, msg.FlushDone):
-            self._on_flush_done_signal(payload)
         elif isinstance(payload, msg.BeginApply):
             self._on_begin_apply(payload)
         elif isinstance(payload, msg.ResendOpsRequest):
@@ -258,11 +230,6 @@ class Synchronizer:
         if payload.machine_id in round_state.dropped:
             return
         round_state.received.update(items)
-        if isinstance(payload, msg.OpBatch):
-            round_state.batch_total.setdefault(payload.machine_id, payload.total)
-            round_state.batch_frames.setdefault(payload.machine_id, {})[
-                payload.seq
-            ] = len(payload.ops)
         self._try_apply(round_state)
 
     # -- stage 1: AddUpdatesToMesh ---------------------------------------------
@@ -273,36 +240,7 @@ class Synchronizer:
         round_state = self._ensure_round(start.round_id, start.order)
         if not start.parallel or round_state is None or round_state.flushed:
             return
-        if start.start_at is not None:
-            # Scheduled round (SyncConfig.scheduled_rounds): the master
-            # pre-announced this round during the idle inter-round gap,
-            # so every participant flushes at the agreed instant instead
-            # of on signal receipt — the StartSync hop leaves the
-            # round's critical path.  Latest announcement wins if the
-            # master re-announces with a different start time.
-            if round_state.flush_timer is not None:
-                round_state.flush_timer.cancel()  # type: ignore[attr-defined]
-            delay = max(0.0, start.start_at - self.node.scheduler.now())
-            round_state.flush_timer = self.node.scheduler.call_later(
-                delay, lambda: self._scheduled_flush(round_state)
-            )
-            return
         # Section-9 extension: everyone flushes at once.
-        self._flush(round_state)
-
-    def _scheduled_flush(self, round_state: RoundState) -> None:
-        round_state.flush_timer = None
-        if self.node.state != self.node.STATE_ACTIVE:
-            # Crashed or offline before the agreed instant.  A signal-
-            # triggered flush could never fire here (a non-active node
-            # receives no mesh signals); the local timer must apply the
-            # same rule.  The master's stall recovery handles our
-            # missing FlushDone.
-            return
-        if self.rounds.get(round_state.round_id) is not round_state:
-            return  # restart/reset dropped the round; the timer is stale
-        if round_state.flushed or round_state.done:
-            return
         self._flush(round_state)
 
     def _on_your_turn(self, turn: msg.YourTurn) -> None:
@@ -325,8 +263,6 @@ class Synchronizer:
             overflow = entries[node.config.max_ops_per_flush :]
             entries = entries[: node.config.max_ops_per_flush]
             node.model.requeue_pending_front(overflow)
-        if node.config.sync.compact_flush and len(entries) > 1:
-            entries = self._compact_entries(entries)
         stash = self.last_flush.setdefault(round_state.round_id, {})
         encoded: list[tuple[int, dict]] = []
         profiler = node.profiler
@@ -343,9 +279,6 @@ class Synchronizer:
         batches = self._broadcast_batches(round_state.round_id, encoded)
         round_state.flushed = True
         round_state.flush_count = len(entries)
-        # Our own count is known right now — no need to wait for our
-        # FlushDone to loop back before our block can stream-commit.
-        round_state.flush_done[node.machine_id] = len(entries)
         node.metrics.op_batches_sent += batches
         node.trace(
             Tracer.FLUSH,
@@ -390,134 +323,17 @@ class Synchronizer:
             profiler.end("transport", _t0)
         return len(chunks)
 
-    def _compact_entries(self, entries: list[PendingEntry]) -> list[PendingEntry]:
-        """Op-log compaction (``SyncConfig.compact_flush``).
-
-        A later pending :class:`PrimitiveOp` *absorbs* an earlier one
-        from the same flush when both write the same last-write-wins
-        slot — same object, same ``@absorbing`` method, same
-        key-argument prefix — and no entry between them touches that
-        object.  The absorbed op never rides the round; its completion
-        fires with the superseder's commit result.
-
-        Soundness rests on the absorbing law ``B(A(S)) == B(S)``, which
-        ``@absorbing`` promises only for valid arguments of *B*, so
-        absorption additionally requires the superseder to have
-        succeeded at issue time: issue success on the guess implies its
-        arguments passed validation, leaving only state-dependent
-        failures, which by the law hit A and B identically.  The
-        consolidated order is lexicographic (machineID, opnumber), so
-        one machine's flush is contiguous in the committed sequence and
-        no other machine's op can observe the absorbed intermediate
-        write.
-        """
-        guess = self.node.model.guess
-        survivors: list[PendingEntry | None] = []
-        slot_of: dict[tuple, int] = {}
-        last_touch: dict[str, int] = {}
-        compacted = 0
-        for entry in entries:
-            op = entry.op
-            slot = None
-            if type(op) is PrimitiveOp and entry.issue_result and guess.has(op.object_id):
-                keys = absorbing_keys(type(guess.get(op.object_id)), op.method_name)
-                if keys is not None and len(op.args) >= keys:
-                    slot = (op.object_id, op.method_name, op.args[:keys])
-            if slot is not None:
-                prev_index = slot_of.get(slot)
-                if prev_index is not None and last_touch.get(op.object_id) == prev_index:
-                    previous = survivors[prev_index]
-                    assert previous is not None
-                    entry.absorbed = previous.absorbed + (previous,)
-                    previous.absorbed = ()
-                    survivors[prev_index] = None
-                    compacted += 1
-            index = len(survivors)
-            survivors.append(entry)
-            if slot is not None:
-                slot_of[slot] = index
-            for object_id in op.object_ids():
-                last_touch[object_id] = index
-        if compacted:
-            self.node.metrics.ops_compacted += compacted
-            self.node.trace(
-                Tracer.FLUSH, action="compact", absorbed=compacted
-            )
-        return [entry for entry in survivors if entry is not None]
-
-    def _on_flush_done_signal(self, done: msg.FlushDone) -> None:
-        """Track broadcast FlushDones for the speculative streaming apply.
-
-        With ``SyncConfig.speculative_apply`` a FlushDone tells every
-        node how many ops its sender contributed, so the consolidated
-        list can be committed *block by block* in lexicographic machine
-        order as flushes arrive — without waiting for the master's
-        BeginApply, and overlapping apply CPU with the network wait for
-        later flushes.  The ApplyAck then carries the per-machine
-        counts actually committed as a fingerprint the master validates
-        against its authoritative counts.
-        """
-        if not self.node.config.sync.speculative_apply:
-            return
-        if done.round_id <= self.last_done_round:
-            return
-        round_state = self.rounds.get(done.round_id)
-        if round_state is None:
-            return  # never speculate on a round we saw no StartSync for
-        round_state.flush_done[done.machine_id] = done.count
-        self._try_apply(round_state)
-
     # -- stage 2: ApplyUpdatesFromMesh -------------------------------------------
 
     def _on_begin_apply(self, begin: msg.BeginApply) -> None:
         if self.node.machine_id not in begin.order:
             return
         round_state = self._ensure_round(begin.round_id, begin.order)
-        if round_state is None or round_state.done:
+        if round_state is None or round_state.applied or round_state.done:
             return
-        authoritative = dict(begin.counts)
+        round_state.counts = dict(begin.counts)
         for dropped in round_state.dropped:
-            authoritative.pop(dropped, None)
-        if round_state.applied:
-            if round_state.speculative:
-                # We committed with self-assembled counts; check them
-                # against the authoritative ones now that they exist.
-                if authoritative != round_state.counts:
-                    # Our committed round diverged from the one the
-                    # master published.  Same hole-in-the-prefix latch
-                    # as a missed commit: stop applying; the master's
-                    # fingerprint check triggers our restart.
-                    self._latch_evicted(suspect=True)
-                    self.node.trace(
-                        Tracer.RECOVERY,
-                        action="speculation_diverged",
-                        round=round_state.round_id,
-                    )
-                else:
-                    # Heal a lost speculative ack: the master resends
-                    # BeginApply on a stall, so answer it again.
-                    self.node.broadcast_signal(
-                        msg.ApplyAck(
-                            round_state.round_id,
-                            self.node.machine_id,
-                            tuple(sorted(round_state.counts.items())),
-                        )
-                    )
-            return
-        for machine_id, count in round_state.stream_done.items():
-            if authoritative.get(machine_id) != count:
-                # A block we already committed is not part of the round
-                # the master published: mid-stream divergence, and the
-                # committed ops cannot be taken back.  Latch evicted;
-                # the master's stall recovery restarts us.
-                self._latch_evicted(suspect=True)
-                self.node.trace(
-                    Tracer.RECOVERY,
-                    action="speculation_diverged",
-                    round=round_state.round_id,
-                )
-                return
-        round_state.counts = authoritative
+            round_state.counts.pop(dropped, None)
         self._try_apply(round_state)
         if not round_state.applied and round_state.missing_timer is None:
             round_state.missing_timer = self.node.scheduler.call_later(
@@ -605,36 +421,10 @@ class Synchronizer:
                 self._try_apply(self.rounds[later_id])
                 break  # _apply recurses if further rounds are ready
 
-    def _latch_evicted(self, suspect: bool = False) -> None:
-        """Stop applying until restart rejoins us.
-
-        ``suspect`` (or any partially streamed round) additionally
-        marks the WAL suspect: streamed blocks were logged the moment
-        they committed, and the cluster's authoritative round may not
-        contain them — or not at those global positions.
-        """
-        self.evicted = True
-        if suspect or any(
-            state.stream_done and not state.applied
-            for state in self.rounds.values()
-        ):
-            self.wal_suspect = True
-
     def _try_apply(self, round_state: RoundState) -> None:
         if self.evicted:
             return  # our committed prefix has a hole; wait for Restart
-        if round_state.applied or round_state.done:
-            return
-        node = self.node
-        if (
-            node.config.sync.speculative_apply
-            and node.config.collection_mode == "concurrent"
-        ):
-            # All applies for this config run through the streaming
-            # engine, whether counts come from FlushDones or BeginApply.
-            self._advance_stream(round_state)
-            return
-        if not round_state.complete():
+        if round_state.applied or round_state.done or not round_state.complete():
             return
         if self._earlier_round_open(round_state):
             return
@@ -642,206 +432,6 @@ class Synchronizer:
             round_state.missing_timer.cancel()  # type: ignore[attr-defined]
             round_state.missing_timer = None
         self._apply(round_state)
-
-    # -- speculative streaming apply (SyncConfig.speculative_apply) --------------
-
-    def _stream_expected(self, round_state: RoundState) -> list[str] | None:
-        """Machines whose blocks this round commits, in block order.
-
-        Authoritative counts (BeginApply) pin the set exactly; before
-        they arrive the set is speculated as the announced order minus
-        drop-ops removals — but any removal makes the master's view of
-        the round uncertain, so speculation stalls until BeginApply.
-        """
-        if round_state.counts is not None:
-            return sorted(round_state.counts)
-        if round_state.removals_seen:
-            return None
-        return sorted(set(round_state.order) - round_state.dropped)
-
-    def _advance_stream(self, round_state: RoundState) -> None:
-        """Commit ready blocks in order; finalize when all are in.
-
-        A machine's block is ready when its op count is known (from
-        BeginApply, else its own FlushDone), all its ops have arrived,
-        and every lexicographically earlier block has committed.  Each
-        block's apply CPU is charged before the next block starts, so
-        the CPU cost serializes but overlaps the network wait for later
-        flushes — by the time the slowest flush lands, only its own
-        block's CPU separates us from the ApplyAck.
-        """
-        node = self.node
-        if node.state == node.STATE_STOPPED:
-            return  # crashed mid-stream; recovery rebuilds from the WAL
-        while True:
-            if round_state.stream_busy or round_state.applied or round_state.done:
-                return
-            if self._earlier_round_open(round_state):
-                return
-            expected = self._stream_expected(round_state)
-            if expected is None:
-                return  # removals poisoned speculation; wait for BeginApply
-            remaining = [m for m in expected if m not in round_state.stream_done]
-            if not remaining:
-                if round_state.counts is not None or not round_state.removals_seen:
-                    self._finalize_stream(round_state)
-                return
-            machine_id = remaining[0]
-            if round_state.counts is not None:
-                count = round_state.counts.get(machine_id)
-                speculated = False
-            else:
-                count = round_state.flush_done.get(machine_id)
-                if count is None and not node.is_master:
-                    # FlushDone not here yet, but a complete frame set
-                    # is just as good: ``total`` pins the frame count
-                    # and the frames carry their op counts.  The master
-                    # never takes this shortcut: op frames can outrun
-                    # the FlushDone signal, and a block its own
-                    # MasterControl has not accepted may be struck from
-                    # the round with drop_ops — a slave recovers from
-                    # that by eviction + Restart, but nobody can
-                    # restart the master.
-                    total = round_state.batch_total.get(machine_id)
-                    if total is not None:
-                        frames = round_state.batch_frames.get(machine_id, {})
-                        if len(frames) == total:
-                            count = sum(frames.values())
-                speculated = True
-            if count is None:
-                return  # flush not seen yet
-            block = sorted(
-                key for key in round_state.received if key.machine_id == machine_id
-            )
-            if len(block) < count:
-                return  # ops still in flight (or awaiting a resend)
-            self._apply_block(round_state, machine_id, block[:count], speculated)
-
-    def _apply_block(
-        self,
-        round_state: RoundState,
-        machine_id: str,
-        block: list[OpKey],
-        speculated: bool,
-    ) -> None:
-        node = self.node
-        profiler = node.profiler
-        if profiler.enabled:
-            _t0 = profiler.begin()
-        decoded = []
-        object_ids: set[str] = set()
-        for key in block:
-            entry = self.in_flight.get(key)
-            if entry is not None:
-                op = entry.op
-                node.metrics.decode_cache_hits += 1
-            else:
-                op = round_state.decoded.get(key)
-                if op is None:
-                    op = decode_op(round_state.received[key])
-                    round_state.decoded[key] = op
-                    node.metrics.decode_cache_misses += 1
-                else:
-                    node.metrics.decode_cache_hits += 1
-            decoded.append((key, op))
-            object_ids |= op.object_ids()
-        logged: list[tuple] = []
-        with node.read_locks.writing(sorted(object_ids)):
-            for key, op in decoded:
-                result = op.execute(node.model.committed)
-                node.model.record_completed(
-                    CompletedEntry(key, op, result, node.scheduler.now())
-                )
-                logged.append(
-                    (
-                        key.machine_id,
-                        key.op_number,
-                        round_state.received[key],
-                        result,
-                        node.scheduler.now(),
-                    )
-                )
-                node.trace(Tracer.COMMIT, key=str(key), ok=result)
-                if result and key.machine_id != node.machine_id:
-                    round_state.stream_remote_touched |= op.object_ids()
-                if key in self.in_flight:
-                    entry = self.in_flight.pop(key)
-                    entry.executions += 1
-                    node.metrics.record_execution(key)
-                    self.pending_completions.append((entry, result))
-                    if result:
-                        node.metrics.ops_committed_ok += 1
-                    else:
-                        node.metrics.ops_committed_failed += 1
-                        if entry.issue_result:
-                            node.metrics.conflicts += 1
-            node.model.committed.mark_dirty(object_ids)
-        # Each block hits the WAL the instant it commits, not at round
-        # finalization: the streaming apply spreads commits across
-        # (virtual) time, and durable state must replay to exactly the
-        # live committed state at every instant — a crash between
-        # blocks then recovers the committed prefix it actually holds.
-        node.log_committed_round(
-            round_state.round_id,
-            logged,
-            node.completed_offset + node.model.completed_count,
-        )
-        self.refresh_backlog |= object_ids
-        round_state.stream_done[machine_id] = len(block)
-        if speculated:
-            round_state.speculative = True
-            node.metrics.blocks_streamed += 1
-        if profiler.enabled:
-            profiler.end("apply", _t0)
-        if not block:
-            return  # empty block: no CPU to charge, keep streaming
-        # Charge the block's apply CPU before the next block may start
-        # (the base setup cost is charged once, on the first block).
-        cost = node.config.apply_cpu(len(block))
-        if len(round_state.stream_done) > 1:
-            cost = max(0.0, cost - node.config.apply_cpu(0))
-        round_state.stream_busy = True
-
-        def unlock() -> None:
-            round_state.stream_busy = False
-            if self.rounds.get(round_state.round_id) is not round_state:
-                return  # restart/reset dropped the round
-            if self.evicted or round_state.applied or round_state.done:
-                return
-            self._advance_stream(round_state)
-
-        node.scheduler.call_later(cost, unlock)
-
-    def _finalize_stream(self, round_state: RoundState) -> None:
-        """All blocks committed: log the round, ack, refresh the guess."""
-        node = self.node
-        if round_state.missing_timer is not None:
-            round_state.missing_timer.cancel()  # type: ignore[attr-defined]
-            round_state.missing_timer = None
-        round_state.counts = dict(round_state.stream_done)
-        round_state.applied = True
-        # Every block was WAL-logged as it committed (_apply_block);
-        # nothing further to persist before the ack.
-        if node.signals_mesh.faults.crash_at_commit(
-            node.machine_id, round_state.round_id
-        ):
-            node.trace(
-                Tracer.RECOVERY, action="crash_at_commit", round=round_state.round_id
-            )
-            node.halt()
-            return
-        ack_counts = (
-            tuple(sorted(round_state.stream_done.items()))
-            if round_state.speculative
-            else None
-        )
-        node.broadcast_signal(
-            msg.ApplyAck(round_state.round_id, node.machine_id, ack_counts)
-        )
-        remote_touched = round_state.stream_remote_touched
-        round_state.stream_remote_touched = set()
-        self._update_guess(round_state, remote_touched)
-        self._nudge_later_rounds(round_state.round_id)
 
     def _apply(self, round_state: RoundState) -> None:
         """Apply the consolidated list in lexicographic (machine, number) order."""
@@ -928,20 +518,10 @@ class Synchronizer:
             node.halt()
             return
 
-        # A speculative commit advertises the counts it used, so the
-        # master can validate them against the authoritative ones.
-        ack_counts = (
-            tuple(sorted(round_state.counts.items()))
-            if round_state.speculative
-            else None
-        )
-
         def ack_and_update() -> None:
             if node.state == node.STATE_STOPPED:  # crashed before the ack fired
                 return
-            node.broadcast_signal(
-                msg.ApplyAck(round_state.round_id, node.machine_id, ack_counts)
-            )
+            node.broadcast_signal(msg.ApplyAck(round_state.round_id, node.machine_id))
             self._update_guess(round_state, remote_touched)
 
         node.scheduler.call_later(node.config.apply_cpu(len(decoded)), ack_and_update)
@@ -962,8 +542,7 @@ class Synchronizer:
         objects the guess store dirtied replaying pending ops, and
         membership changes are copied — O(touched state) per round
         instead of the paper's literal O(total state) full copy
-        (``delta_refresh=False`` restores the latter;
-        ``refresh_oracle=True`` cross-checks the delta against a full
+        (``refresh_oracle=True`` cross-checks the delta against a full
         shadow rebuild every round).
         """
         node = self.node
@@ -974,13 +553,9 @@ class Synchronizer:
         profiler = node.profiler
         if profiler.enabled:
             _t0 = profiler.begin()
-        if node.config.delta_refresh:
-            candidates = model.guess.refresh_candidates(model.committed, touched)
-            with node.read_locks.writing(sorted(candidates)):
-                copied = model.guess.refresh_delta_from(model.committed, touched)
-        else:
-            with node.read_locks.writing(model.committed.ids()):
-                copied = model.guess.refresh_from(model.committed)
+        candidates = model.guess.refresh_candidates(model.committed, touched)
+        with node.read_locks.writing(sorted(candidates)):
+            copied = model.guess.refresh_delta_from(model.committed, touched)
         node.metrics.refresh_rounds += 1
         node.metrics.refresh_objects_copied += copied
         node.metrics.refresh_objects_live += len(model.committed)
@@ -989,15 +564,6 @@ class Synchronizer:
         self.pending_completions = []
         now = node.scheduler.now()
         for entry, result in completions:
-            # Ops this entry absorbed during flush compaction complete
-            # here too, with the superseder's commit result; they were
-            # issued earlier, so their completions fire first.
-            for absorbed in entry.absorbed:
-                node.metrics.commit_latency_total += now - absorbed.issued_at
-                node.metrics.commit_latency_count += 1
-                if absorbed.completion is not None:
-                    absorbed.completion(result)
-                node.trace(Tracer.COMPLETION, key=str(absorbed.key), ok=result)
             node.metrics.commit_latency_total += now - entry.issued_at
             node.metrics.commit_latency_count += 1
             if entry.completion is not None:
@@ -1045,7 +611,7 @@ class Synchronizer:
             # committed prefix now has a hole: skipping ahead to later
             # pipelined rounds would durably log a gapped history, so
             # stop applying until the master's Restart rejoins us.
-            self._latch_evicted(suspect=bool(round_state.stream_done))
+            self.evicted = True
             self.node.trace(
                 Tracer.RECOVERY, action="missed_commit", round=done.round_id
             )
@@ -1056,25 +622,6 @@ class Synchronizer:
         round_state = self.rounds.get(removed.round_id)
         if round_state is None:
             return
-        # Any removal means the master's view of the round diverged
-        # from the FlushDones we observed: block speculation stalls for
-        # this round until the authoritative BeginApply arrives.
-        round_state.removals_seen = True
-        if (
-            removed.drop_ops
-            and not round_state.applied
-            and removed.machine_id in round_state.stream_done
-        ):
-            # We already committed a block the cluster is dropping and
-            # cannot take it back: latch evicted (the master's
-            # fingerprint check or stall recovery restarts us).
-            self._latch_evicted(suspect=True)
-            self.node.trace(
-                Tracer.RECOVERY,
-                action="speculation_diverged",
-                round=round_state.round_id,
-            )
-            return
         if removed.machine_id == self.node.machine_id:
             # We were removed while alive (our signals were lost).  The
             # round will commit everywhere without us, leaving a hole in
@@ -1082,7 +629,7 @@ class Synchronizer:
             # hole would durably log a gapped history, so stop applying
             # entirely; the Restart that follows rejoins us cleanly.
             round_state.done = True
-            self._latch_evicted()
+            self.evicted = True
             self.node.trace(
                 Tracer.RECOVERY, action="evicted", round=round_state.round_id
             )
@@ -1128,8 +675,6 @@ class Synchronizer:
         for round_state in self.rounds.values():
             if round_state.missing_timer is not None:
                 round_state.missing_timer.cancel()  # type: ignore[attr-defined]
-            if round_state.flush_timer is not None:
-                round_state.flush_timer.cancel()  # type: ignore[attr-defined]
         self.rounds.clear()
         self.op_buffer.clear()
         self.refresh_backlog.clear()
@@ -1170,16 +715,6 @@ class MasterControl:
         self._stopped = False
         self._halted = False  # hard stop (crash): no recovery actions either
         self.running = False  # set once start() schedules the first round
-        #: pre-announced next round (scheduled_rounds): (id, order, start_at)
-        self._announced: tuple[int, tuple[str, ...], float] | None = None
-        #: FlushDones that beat the announced round's start (stashed
-        #: until start_round materializes the round): id -> {machine: count}
-        self._early_flush_done: dict[int, dict[str, int]] = {}
-        #: machines whose speculative commit diverged from the published
-        #: counts — their durable history is NOT a prefix of the global
-        #: order, so their next Welcome must be a full snapshot (which
-        #: rebases their log) rather than a backlog extension
-        self.tainted: set[str] = set()
 
     # -- round bookkeeping -----------------------------------------------------------
 
@@ -1215,17 +750,15 @@ class MasterControl:
         self._next_round_timer = self.node.scheduler.call_later(
             interval, self.start_round
         )
-        self._maybe_preannounce(interval)
 
     def stop(self, hard: bool = False) -> None:
         """Stop initiating rounds.  ``hard`` (crash simulation) also
         silences the watchdog; a graceful stop keeps driving recovery
-        for rounds already in flight, including a pre-announced round
-        whose participants are already committed to flushing."""
+        for rounds already in flight."""
         self._stopped = True
         if hard:
             self._halted = True
-        if self._next_round_timer is not None and (hard or self._announced is None):
+        if self._next_round_timer is not None:
             self._next_round_timer.cancel()  # type: ignore[attr-defined]
 
     def _schedule_next_round(self) -> None:
@@ -1246,60 +779,23 @@ class MasterControl:
         self._next_round_timer = self.node.scheduler.call_later(
             self.node.config.sync_interval, self.start_round
         )
-        self._maybe_preannounce(self.node.config.sync_interval)
-
-    def _maybe_preannounce(self, delay: float) -> None:
-        """Pre-announce the next round (``SyncConfig.scheduled_rounds``).
-
-        The StartSync for the upcoming round is broadcast *now*, during
-        the idle inter-round gap, carrying the instant the round will
-        start; every participant (master included, via the synchronous
-        self-dispatch) arms a flush timer for that instant.  When the
-        master's own round timer fires it reuses the announced id and
-        order instead of broadcasting again — the signal's network hop
-        rides the gap, not the round.
-
-        Announcing is skipped while membership is in motion: the
-        announced order is frozen, so joiners would be left out and the
-        paper's welcome-between-rounds rule could not hold.
-        """
-        config = self.node.config
-        if not config.sync.scheduled_rounds or config.collection_mode != "concurrent":
-            return
-        if self._stopped or self.join_queue or self.awaiting_ack:
-            return
-        round_id = self.round_counter + 1
-        order = tuple(self.participants)
-        start_at = self.node.scheduler.now() + delay
-        self._announced = (round_id, order, start_at)
-        self.node.metrics.rounds_preannounced += 1
-        self.node.broadcast_signal(msg.StartSync(round_id, order, True, start_at))
 
     def start_round(self) -> None:
         self._next_round_timer = None
-        announced = self._announced
-        self._announced = None
-        if self._stopped and announced is None:
+        if self._stopped:
             return
         if self.collecting is not None or len(self.inflight) >= self.pipeline_depth:
             return  # raced; the blocking round reschedules as it advances
-        if announced is None:
-            if not self.inflight:
-                self._process_membership()
-            if len(self.participants) < 1:  # pragma: no cover - master present
-                self.start()
-                return
-            self.round_counter += 1
-            order = tuple(self.participants)
-        else:
-            # The announced order is frozen — participants flushed (or
-            # are flushing) against it.  Membership changes since the
-            # announcement wait for the next round; departures are
-            # reconciled below via the normal removal path.
-            self.round_counter, order, _ = announced
+        if not self.inflight:
+            self._process_membership()
+        if len(self.participants) < 1:  # pragma: no cover - master present
+            self.start()
+            return
+        self.round_counter += 1
+        order = tuple(self.participants)
         from repro.runtime.metrics import SyncRecord
 
-        mode = self.node.config.collection_mode
+        mode = self.node.config.sync.collection
         concurrent = mode == "concurrent"
         round_ = _MasterRound(
             round_id=self.round_counter,
@@ -1315,25 +811,12 @@ class MasterControl:
         )
         self.inflight[self.round_counter] = round_
         self.node.trace(Tracer.SYNC_START, round=self.round_counter, users=len(order))
-        if announced is None:
-            self.node.broadcast_signal(
-                msg.StartSync(self.round_counter, order, concurrent)
-            )
+        self.node.broadcast_signal(
+            msg.StartSync(self.round_counter, order, concurrent)
+        )
         if not concurrent:
             self._grant_turn(round_)
         self._arm_watchdog()
-        if announced is not None:
-            stashed = self._early_flush_done.pop(self.round_counter, None)
-            self._early_flush_done.clear()  # anything else is stale
-            current = list(self.participants)
-            for ghost in order:
-                if ghost not in current:
-                    self._remove_from_round(round_, ghost)
-            if stashed and self.round_counter in self.inflight:
-                for machine_id, count in stashed.items():
-                    self._on_flush_done(
-                        msg.FlushDone(self.round_counter, machine_id, count)
-                    )
 
     def _grant_turn(self, round_: "_MasterRound") -> None:
         """Grant the flush turn to the next machine in order."""
@@ -1357,14 +840,6 @@ class MasterControl:
         self.node.broadcast_signal(
             msg.BeginApply(round_.round_id, round_.order, counts)
         )
-        # Speculative acks that raced ahead of our own count assembly
-        # were parked; validate them against the counts just published.
-        early = round_.early_acks
-        round_.early_acks = {}
-        for machine_id, ack_counts in early.items():
-            self._on_apply_ack(
-                msg.ApplyAck(round_.round_id, machine_id, ack_counts)
-            )
         self._progress()
         # Pipelining: collection of the next round may overlap this
         # round's apply/ack latency.
@@ -1387,30 +862,22 @@ class MasterControl:
     def _on_flush_done(self, done: msg.FlushDone) -> None:
         round_ = self.inflight.get(done.round_id)
         if round_ is None:
-            if (
-                self._announced is not None
-                and done.round_id == self._announced[0]
-            ):
-                # A flush for the pre-announced round beat our own round
-                # timer; keep the count until start_round materializes it.
-                self._early_flush_done.setdefault(done.round_id, {})[
-                    done.machine_id
-                ] = done.count
             return
         if done.machine_id in round_.counts or done.machine_id in round_.removed:
             return
         round_.counts[done.machine_id] = done.count
         self._progress()
+        self._flush_settled(round_, done.machine_id)
+
+    def _flush_settled(self, round_: "_MasterRound", machine_id: str) -> None:
+        """``machine_id``'s flush is accounted for (its count is in, or
+        it was removed): move stage 1 on if that is what it waited for."""
         if round_.stage != "flush":
             return
         if round_.parallel:
-            expected = set(round_.order) - round_.removed
-            if expected <= set(round_.counts):
+            if not round_.awaited():
                 self._begin_apply(round_)
-        elif (
-            round_.turn_index < len(round_.order)
-            and round_.order[round_.turn_index] == done.machine_id
-        ):
+        elif round_.awaited() == [machine_id]:
             round_.turn_index += 1
             self._grant_turn(round_)
 
@@ -1419,27 +886,6 @@ class MasterControl:
         if round_ is None:
             return
         if ack.machine_id in round_.removed:
-            return
-        if round_.stage == "flush":
-            # Only a speculative commit can ack before we publish the
-            # counts; park it for validation at _begin_apply.
-            round_.early_acks[ack.machine_id] = ack.counts
-            return
-        if ack.counts is not None and tuple(ack.counts) != tuple(
-            sorted(round_.counts.items())
-        ):
-            # The speculator committed a round composition we did not
-            # publish: its durable history diverged from the global
-            # order.  Remove it and force a snapshot re-welcome.
-            self.node.trace(
-                Tracer.RECOVERY,
-                action="speculation_mismatch",
-                machine=ack.machine_id,
-                round=ack.round_id,
-            )
-            round_.record.removals += 1
-            self.tainted.add(ack.machine_id)
-            self._remove_machine(ack.machine_id, restart=True)
             return
         round_.acks.add(ack.machine_id)
         self._progress()
@@ -1450,8 +896,7 @@ class MasterControl:
         finished = False
         while self.inflight:
             round_ = self.inflight[min(self.inflight)]
-            expected = set(round_.order) - round_.removed
-            if round_.stage != "apply" or not expected <= round_.acks:
+            if round_.stage != "apply" or round_.awaited():
                 break
             round_.record.finished_at = self.node.scheduler.now()
             self.node.metrics_system.sync_records.append(round_.record)
@@ -1466,14 +911,9 @@ class MasterControl:
         if not finished:
             return
         self._nudge_restarts()
-        if (
-            (self.awaiting_ack or self.join_queue)
-            and not self.inflight
-            and self._announced is None
-        ):
-            # Re-welcome unacked joiners and serve Hellos a pending
-            # announcement deferred (their Welcomes must postdate the
-            # announced round, which has finished by now).
+        if (self.awaiting_ack or self.join_queue) and not self.inflight:
+            # Re-welcome unacked joiners and serve the Hellos that
+            # arrived while rounds were in flight.
             self._process_membership()
         self._schedule_next_round()
 
@@ -1499,31 +939,24 @@ class MasterControl:
             self._remove_machine(hello.machine_id, restart=False)
         if hello.machine_id not in self.join_queue:
             self.join_queue.append(hello.machine_id)
-        # A join between rounds can be processed immediately — but a
-        # pre-announced round counts as in flight: its order is frozen,
-        # so a Welcome served now would predate its commits and the
-        # joiner would re-enter with a hole in its prefix.
-        if not self.inflight and self._announced is None:
+        # A join between rounds can be processed immediately.
+        if not self.inflight:
             self._process_membership()
 
     def _on_welcome_ack(self, ack: msg.WelcomeAck) -> None:
         if ack.machine_id not in self.awaiting_ack:
             return
-        if self.inflight or self._announced is not None:
-            # The ack raced rounds this machine is not part of (a
-            # pre-announced round's order is frozen, so it counts too):
-            # its Welcome predates their commits, so admitting it now
-            # would leave a permanent hole in its committed sequence.
-            # Keep it queued; _maybe_finish re-welcomes it with a fresh
-            # snapshot once the pipeline drains (loading is idempotent
-            # and the joiner catches up on the missed suffix).
+        if self.inflight:
+            # The ack raced rounds this machine is not part of: its
+            # Welcome predates their commits, so admitting it now would
+            # leave a permanent hole in its committed sequence.  Keep it
+            # queued; _maybe_finish re-welcomes it with a fresh snapshot
+            # once the pipeline drains (loading is idempotent and the
+            # joiner catches up on the missed suffix).
             return
         self.awaiting_ack.discard(ack.machine_id)
         self.recovered_counts.pop(ack.machine_id, None)
         self.recovered_tails.pop(ack.machine_id, None)
-        # An acked Welcome was a snapshot for tainted machines, which
-        # rebases their divergent durable log — the taint is cleared.
-        self.tainted.discard(ack.machine_id)
         if ack.machine_id not in self.participants:
             self.participants.append(ack.machine_id)
         self.node.trace(Tracer.MEMBERSHIP, joined=ack.machine_id)
@@ -1557,12 +990,6 @@ class MasterControl:
         prove the recovered history is a prefix of the global order)."""
         node = self.node
         recovered_count = self.recovered_counts.get(machine_id)
-        if machine_id in self.tainted:
-            # A divergent speculative commit is in its durable log: a
-            # backlog Welcome would extend the divergence (a matching
-            # tail cannot prove anything about the rounds around the
-            # fork).  Only a snapshot, which rebases the log, is safe.
-            recovered_count = None
         offset = node.completed_offset
         total = offset + node.model.completed_count
         op_floor = node.model.op_high_water.get(machine_id, 0)
@@ -1651,22 +1078,11 @@ class MasterControl:
             round_ = self.inflight.get(round_id)
             if round_ is None:
                 continue  # finished while we handled an earlier round
-            if round_.stage == "flush":
-                if round_.parallel:
-                    expected = set(round_.order) - round_.removed
-                    for stalled in sorted(expected - set(round_.counts)):
-                        if round_.stage != "flush":
-                            break  # a removal completed the flush stage
-                        self._handle_stall(round_, stalled, stage="flush")
-                elif round_.turn_index < len(round_.order):
-                    stalled = round_.order[round_.turn_index]
-                    self._handle_stall(round_, stalled, stage="flush")
-            else:
-                expected = set(round_.order) - round_.removed
-                for stalled in sorted(expected - round_.acks):
-                    if round_id not in self.inflight:
-                        break  # the round finished while we were removing
-                    self._handle_stall(round_, stalled, stage="apply")
+            stage = round_.stage
+            for stalled in round_.awaited():
+                if round_.stage != stage or round_id not in self.inflight:
+                    break  # a removal completed the stage (or the round)
+                self._handle_stall(round_, stalled, stage=stage)
         self._maybe_finish()
         if self.inflight:
             self._progress()  # restart the clock after acting
@@ -1737,43 +1153,18 @@ class MasterControl:
         if machine_id in round_.removed or machine_id not in set(round_.order):
             return
         round_.removed.add(machine_id)
-        # If our own synchronizer already stream-committed this
-        # machine's block (speculative apply), the ops cannot be taken
-        # back: they must stay in the round.  That is safe to promise —
-        # a committed block means we hold every one of its ops and can
-        # serve any resend — whereas dropping it would force the master
-        # to evict itself, and nobody can restart the master.
-        sync_round = self.node.synchronizer.rounds.get(round_.round_id)
-        streamed_here = (
-            sync_round is not None and machine_id in sync_round.stream_done
-        )
-        drop_ops = machine_id not in round_.counts and not streamed_here
+        drop_ops = machine_id not in round_.counts
         if round_.stage == "flush":
-            if streamed_here:
-                # Counts are not published yet; pin the committed
-                # block's count so BeginApply matches what we applied.
-                round_.counts[machine_id] = sync_round.stream_done[machine_id]
-            else:
-                # The machine's flush (if any) can still be excluded
-                # consistently everywhere.
-                round_.counts.pop(machine_id, None)
+            # Counts are not published yet; the machine's flush (if
+            # any) can still be excluded consistently everywhere.
+            round_.counts.pop(machine_id, None)
         # After BeginApply the counts are immutable: some machines may
         # already have committed with them, so the removal must not
         # change the round's consolidated list.
         self.node.broadcast_signal(
             msg.ParticipantRemoved(round_.round_id, machine_id, drop_ops)
         )
-        if round_.stage == "flush":
-            if round_.parallel:
-                expected = set(round_.order) - round_.removed
-                if expected <= set(round_.counts):
-                    self._begin_apply(round_)
-            elif (
-                round_.turn_index < len(round_.order)
-                and round_.order[round_.turn_index] == machine_id
-            ):
-                round_.turn_index += 1
-                self._grant_turn(round_)
+        self._flush_settled(round_, machine_id)
 
 
 @dataclass(slots=True)
@@ -1790,6 +1181,12 @@ class _MasterRound:
     acks: set[str] = field(default_factory=set)
     removed: set[str] = field(default_factory=set)
     strikes: dict[str, int] = field(default_factory=dict)
-    #: speculative ApplyAcks that arrived before the counts were
-    #: published: machine -> advertised counts fingerprint
-    early_acks: dict[str, tuple | None] = field(default_factory=dict)
+
+    def awaited(self) -> list[str]:
+        """Machines the current stage waits on, in stall-handling order:
+        unacked participants (apply), every participant yet to flush
+        (concurrent collection) or the one turn holder (sequential)."""
+        if self.stage == "flush" and not self.parallel:
+            return list(self.order[self.turn_index : self.turn_index + 1])
+        settled = self.acks if self.stage == "apply" else self.counts.keys()
+        return sorted(set(self.order) - self.removed - settled)

@@ -39,12 +39,8 @@ def cluster_quiesced(master_node: GuesstimateNode, nodes) -> bool:
     master can cycle op-less control rounds back to back without the
     pipeline ever going idle, yet every issued operation has long
     since committed everywhere.  A round carrying operations blocks
-    quiescence whatever its stage — under speculative apply a slave
-    pops its in-flight entries the moment it *locally* stream-commits
-    its block, which can be while the master is still collecting, so
-    neither per-node bookkeeping nor the published counts alone can be
-    trusted: we also look for op payloads any live node has received
-    for a round the master still tracks.
+    quiescence whatever its stage: its collected counts are nonzero,
+    or some live node holds op payloads for it.
     """
     master = master_node.master
     if master is None:  # pragma: no cover
@@ -56,9 +52,7 @@ def cluster_quiesced(master_node: GuesstimateNode, nodes) -> bool:
             if node.state != GuesstimateNode.STATE_ACTIVE:
                 continue
             state = node.synchronizer.rounds.get(round_id)
-            if state is not None and (
-                state.received or any(state.stream_done.values())
-            ):
+            if state is not None and state.received:
                 return False
     if master.join_queue or master.awaiting_ack:
         return False

@@ -3,7 +3,7 @@
 Subcommands::
 
     simfuzz run --seeds 100 [--start N] [--max-time S] [--trace-dir DIR]
-                [--transport sim|loopback] [--workload NAME] [--compact]
+                [--transport sim|loopback] [--workload NAME]
     simfuzz replay <seed> [--mutation NAME] [--workload NAME]
     simfuzz shrink <seed> [--mutation NAME] [--workload NAME]
     simfuzz selftest [--mutation NAME] [--max-seeds N] [--workload NAME]
@@ -53,9 +53,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.mutation is not None:
             print("error: --mutation is simulation-only (loopback runs unmutated)")
             return 2
-        if args.compact:
-            print("error: --compact is simulation-only (loopback draws its own knobs)")
-            return 2
         from repro.transport.loopback import sweep_seeds
 
         report = sweep_seeds(
@@ -75,7 +72,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trace_dir=args.trace_dir,
             progress=progress,
             workload=args.workload,
-            force_compaction=args.compact,
         )
     print(
         f"\n{report.seeds_run} seed(s) run, {len(report.failures)} failing"
@@ -158,12 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-dir", default=None, help="write failing-seed artifacts here"
     )
     run.add_argument("--mutation", choices=sorted(MUTATIONS), default=None)
-    run.add_argument(
-        "--compact",
-        action="store_true",
-        help="force flush compaction on in every scenario (the refresh "
-        "oracle then cross-checks compacted rounds)",
-    )
     run.add_argument(
         "--transport",
         choices=("sim", "loopback"),

@@ -12,7 +12,6 @@ replays bit-identically, and the shrinker cuts the scenario down.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
@@ -87,7 +86,6 @@ def run_seeds(
     record_traces: bool = True,
     progress=None,
     workload: str | None = None,
-    force_compaction: bool = False,
 ) -> FuzzReport:
     """Fuzz seeds ``start .. start+n_seeds-1``.
 
@@ -96,9 +94,6 @@ def run_seeds(
     Failing seeds get ``seed-<n>.json`` + ``seed-<n>.trace.jsonl``
     artifacts under ``trace_dir`` if one is given.  ``workload`` pins
     every scenario to one workload (zoo coverage sweeps).
-    ``force_compaction`` overrides every scenario to run with flush
-    compaction on (the ``--compact`` CI sweep: the refresh oracle then
-    cross-checks compacted rounds seed by seed).
     """
     report = FuzzReport()
     clock_start = time.monotonic()
@@ -107,8 +102,6 @@ def run_seeds(
             report.stopped_early = True
             break
         spec = generate_scenario(seed, workload=workload)
-        if force_compaction:
-            spec = dataclasses.replace(spec, compact_flush=True)
         result = run_scenario(spec, record_trace=record_traces, mutation=mutation)
         outcome = SeedOutcome(
             seed=seed,

@@ -2,9 +2,8 @@
 
 The runner owns the full life of one simulated run:
 
-1. build the system from the spec (durability on, explicit sync
-   config so the ``GUESSTIMATE_COLLECTION`` env override cannot make
-   two replays differ);
+1. build the system from the spec (durability on, the sync config
+   spelled out field by field);
 2. run workload setup to a quiescent baseline, *then* install the
    fault plan with its windows shifted past setup — chaos belongs in
    steady state, not in object creation;
@@ -111,9 +110,6 @@ def build_config(spec: ScenarioSpec) -> RuntimeConfig:
             collection=spec.collection,
             batch_max_ops=spec.batch_max_ops,
             pipeline_depth=spec.pipeline_depth,
-            scheduled_rounds=spec.scheduled_rounds,
-            speculative_apply=spec.speculative_apply,
-            compact_flush=spec.compact_flush,
         ),
         durability="memory",
         snapshot_interval=spec.snapshot_interval,

@@ -141,11 +141,6 @@ class ScenarioSpec:
     partitions: tuple[PartitionSpec, ...] = ()
     commit_crashes: tuple[CommitCrashSpec, ...] = ()
     churn: tuple[ChurnSpec, ...] = ()
-    #: hot-path levers (concurrent collection only): pre-announced
-    #: StartSync, streaming speculative apply, flush compaction
-    scheduled_rounds: bool = False
-    speculative_apply: bool = False
-    compact_flush: bool = False
 
     def fault_count(self) -> int:
         return (
@@ -190,9 +185,6 @@ class ScenarioSpec:
                 CommitCrashSpec(**item) for item in data.get("commit_crashes", ())
             ),
             churn=tuple(ChurnSpec(**item) for item in data.get("churn", ())),
-            scheduled_rounds=data.get("scheduled_rounds", False),
-            speculative_apply=data.get("speculative_apply", False),
-            compact_flush=data.get("compact_flush", False),
         )
 
 
@@ -222,11 +214,6 @@ def generate_scenario(seed: int, workload: str | None = None) -> ScenarioSpec:
     sync_interval = round(sync.uniform(0.4, 1.0), 3)
     stall_timeout = round(sync.uniform(2.0, 4.0), 3)
     snapshot_interval = sync.choice([0, 2, 4, 8])
-    # Hot-path levers: only meaningful under concurrent collection, but
-    # always drawn so the stream stays aligned across spec mutations.
-    scheduled_rounds = sync.random() < 0.5
-    speculative_apply = sync.random() < 0.5
-    compact_flush = sync.random() < 0.5
 
     if workload is None:
         workload = work.choice(list(WORKLOADS))
@@ -329,9 +316,6 @@ def generate_scenario(seed: int, workload: str | None = None) -> ScenarioSpec:
         partitions=tuple(partitions),
         commit_crashes=tuple(commit_crashes),
         churn=tuple(churn),
-        scheduled_rounds=scheduled_rounds,
-        speculative_apply=speculative_apply,
-        compact_flush=compact_flush,
     )
 
 

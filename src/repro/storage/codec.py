@@ -167,18 +167,13 @@ def _optional_pair(value: list | None) -> tuple | None:
     return None if value is None else tuple(value)
 
 
-def _optional_pairs(value: list | None) -> tuple[tuple, ...] | None:
-    """ApplyAck.counts: a speculative ack's fingerprint (or None)."""
-    return None if value is None else tuple(tuple(item) for item in value)
-
-
 register_wire_type(msg.StartSync, order=_tuple_of_strings)
 register_wire_type(msg.YourTurn, order=_tuple_of_strings)
 register_wire_type(msg.FlushDone)
 register_wire_type(
     msg.BeginApply, order=_tuple_of_strings, counts=_tuple_of_pairs
 )
-register_wire_type(msg.ApplyAck, counts=_optional_pairs)
+register_wire_type(msg.ApplyAck)
 register_wire_type(msg.ResendOpsRequest, have=_tuple_of_pairs)
 register_wire_type(msg.SyncComplete)
 register_wire_type(msg.Hello, recovered_tail=_optional_pair)

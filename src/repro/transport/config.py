@@ -300,7 +300,6 @@ _RUNTIME_KEYS = {
     "fsync_interval": int,
     "wal_segment_bytes": int,
     "snapshot_interval": int,
-    "delta_refresh": bool,
 }
 _SYNC_KEYS = {
     "collection": str,

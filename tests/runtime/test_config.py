@@ -1,6 +1,26 @@
-"""RuntimeConfig tests: the cost model and recovery thresholds."""
+"""RuntimeConfig tests: the cost model, recovery thresholds, and the
+round-protocol option surface."""
 
-from repro.runtime.config import RuntimeConfig
+from dataclasses import fields
+
+from repro.runtime.config import RuntimeConfig, SyncConfig
+
+
+class TestOptionSurface:
+    def test_sync_config_has_exactly_three_fields(self):
+        """Every field here doubles the configurations simfuzz, tier-1
+        and the benchmark must cover — a new one belongs in review."""
+        assert {f.name for f in fields(SyncConfig)} == {
+            "collection",
+            "batch_max_ops",
+            "pipeline_depth",
+        }
+        assert SyncConfig().collection == "concurrent"
+
+    def test_retired_runtime_options_stay_retired(self):
+        names = {f.name for f in fields(RuntimeConfig)}
+        assert "parallel_flush" not in names
+        assert "delta_refresh" not in names
 
 
 class TestCostModel:

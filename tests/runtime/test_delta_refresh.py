@@ -46,17 +46,6 @@ class TestDeltaRefreshEndToEnd:
         assert workload_copied * 10 < live
         system.check_all_invariants()
 
-    def test_full_refresh_mode_still_converges(self):
-        system = quick_system(n=3, delta_refresh=False, refresh_oracle=True)
-        uids = _populate(system, 10)
-        for uid in uids[:3]:
-            system.api("m03").invoke(uid, "increment", 10**9)
-        system.run_until_quiesced()
-        copied, live = _refresh_totals(system)
-        # The naive mode copies the whole store every refresh.
-        assert copied == live
-        system.check_all_invariants()
-
     def test_oracle_accepts_conflict_heavy_workload(self):
         """Conflicting ops (pending replays, failed commits) are where
         a wrong delta would diverge; the per-round oracle must stay

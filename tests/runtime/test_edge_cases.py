@@ -128,7 +128,6 @@ class TestStackedFaults:
         )
         config = RuntimeConfig(
             sync_interval=0.5,
-            parallel_flush=True,
             stall_timeout=2.0,
             missing_ops_timeout=0.4,
         )

@@ -12,8 +12,7 @@ from tests.helpers import Counter, quick_system, shared_counter
 
 class TestParallelFlush:
     def make(self, n, parallel):
-        # Pinned mode: this class compares serial vs concurrent flush,
-        # so the ambient GUESSTIMATE_COLLECTION default must not apply.
+        # This class compares serial vs concurrent flush.
         config = RuntimeConfig(
             sync_interval=0.5,
             sync=SyncConfig(
@@ -51,9 +50,7 @@ class TestParallelFlush:
 
     def test_recovery_still_works_in_parallel_mode(self):
         faults = ScheduledFaults(crashes=[CrashPlan("m03", start=1.0, end=10.0)])
-        config = RuntimeConfig(
-            sync_interval=0.5, parallel_flush=True, stall_timeout=2.0
-        )
+        config = RuntimeConfig(sync_interval=0.5, stall_timeout=2.0)
         system = DistributedSystem(n_machines=3, seed=4, faults=faults, config=config)
         system.start(first_sync_delay=0.1)
         system.run_for(30.0)

@@ -15,7 +15,7 @@ def run_traced_session(parallel=False, users=3):
     from repro.runtime.system import DistributedSystem
 
     # Pin the collection mode: these tests assert mode-specific stage
-    # ordering and must not follow the GUESSTIMATE_COLLECTION default.
+    # ordering.
     config = RuntimeConfig(
         sync_interval=0.5,
         tracing=True,

@@ -7,6 +7,8 @@ same way, the committed sequence is identical, and all paper
 invariants hold.
 """
 
+import random
+
 import pytest
 
 from repro.core.guesstimate import IssueTicket
@@ -237,13 +239,48 @@ class TestModeConfigResolution:
             records = system.metrics.sync_records
             assert records and all(r.collection == mode for r in records)
 
-    def test_env_var_sets_default_mode(self, monkeypatch):
-        from repro.runtime.config import COLLECTION_ENV_VAR, RuntimeConfig
+    def test_default_mode_ignores_environment(self, monkeypatch):
+        """The retired ``GUESSTIMATE_COLLECTION`` variable changes nothing:
+        the default is concurrent, and only an explicit ``SyncConfig``
+        selects the paper's sequential strategy."""
+        from repro.runtime.config import RuntimeConfig
 
-        monkeypatch.setenv(COLLECTION_ENV_VAR, "concurrent")
-        assert RuntimeConfig().collection_mode == "concurrent"
-        monkeypatch.setenv(COLLECTION_ENV_VAR, "sequential")
-        assert RuntimeConfig().collection_mode == "sequential"
-        # An explicit SyncConfig always beats the environment.
-        pinned = RuntimeConfig(sync=SyncConfig(collection="concurrent"))
-        assert pinned.collection_mode == "concurrent"
+        monkeypatch.setenv("GUESSTIMATE_COLLECTION", "sequential")
+        assert RuntimeConfig().sync.collection == "concurrent"
+        system = quick_system(n=2, seed=3)
+        system.run_for(2.0)
+        records = system.metrics.sync_records
+        assert records and all(r.collection == "concurrent" for r in records)
+
+
+class TestStrategiesCommitTheSameSequence:
+    @staticmethod
+    def _scripted_run(**config_kwargs):
+        """Seeded bursts from random machines, each burst issued on an
+        idle pipeline so both strategies collect it in one round."""
+        system = quick_system(n=4, seed=5, **config_kwargs)
+        replicas, _uid = shared_counter(system)
+        rng = random.Random(7)
+        for _ in range(6):
+            for machine_id in rng.sample(sorted(replicas), 3):
+                for _ in range(rng.randint(1, 3)):
+                    # limit 14: late increments lose at commit time
+                    system.api(machine_id).invoke(replicas[machine_id], "increment", 14)
+            system.run_until_quiesced()
+        system.check_all_invariants()
+        completed = {
+            machine_id: [(str(e.key), e.result) for e in node.model.completed]
+            for machine_id, node in system.nodes.items()
+        }
+        return completed, {r.collection for r in system.metrics.sync_records}
+
+    def test_default_and_paper_strategy_agree_on_every_node(self):
+        default, default_modes = self._scripted_run()
+        paper, paper_modes = self._scripted_run(
+            sync=SyncConfig(collection="sequential")
+        )
+        assert default_modes == {"concurrent"} and paper_modes == {"sequential"}
+        assert default == paper
+        reference = default["m01"]
+        assert any(not ok for _key, ok in reference)  # conflicts exercised
+        assert all(sequence == reference for sequence in default.values())

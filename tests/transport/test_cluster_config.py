@@ -141,10 +141,12 @@ class TestClusterValidation:
             cluster_from_dict(data)
 
     def test_unknown_runtime_option_rejected(self):
-        data = self.base()
-        data["runtime"] = {"sync_intervle": 0.5}
-        with pytest.raises(ClusterConfigError, match="sync_intervle"):
-            cluster_from_dict(data)
+        # a typo, and a retired option an old cluster.yaml may still set
+        for key, value in (("sync_intervle", 0.5), ("delta_refresh", False)):
+            data = self.base()
+            data["runtime"] = {key: value}
+            with pytest.raises(ClusterConfigError, match=key):
+                cluster_from_dict(data)
 
     def test_unknown_node_lookup_raises(self):
         cluster = cluster_from_dict(self.base())

@@ -104,6 +104,34 @@ class TestLoopbackCluster:
         finally:
             cluster.shutdown()
 
+    def test_default_config_commits_without_a_single_your_turn(self):
+        """A bare ``RuntimeConfig()`` is the concurrent strategy: every
+        node's operation commits and no ``YourTurn`` crosses a socket."""
+        cluster = LoopbackCluster(5, config=RuntimeConfig())
+        try:
+            cluster.boot()
+            cluster.start(first_sync_delay=0.05)
+            counter = cluster.api("m01").create_instance(Counter)
+            cluster.run_until_quiesced(max_time=30.0)
+            tickets = [
+                cluster.api(machine_id).invoke(
+                    cluster.api(machine_id).join_instance(counter.unique_id),
+                    "increment",
+                    100,
+                )
+                for machine_id in cluster.machine_ids()
+            ]
+            cluster.run_until_quiesced(max_time=30.0)
+            assert all(t.status == "committed" and t.commit_result for t in tickets)
+            assert cluster.completed_sequences_equal()
+            for node in cluster.nodes.values():
+                assert node.model.committed.get(counter.unique_id).value == 5
+                sent = node.signals_mesh.stats.payload_counts
+                assert "YourTurn" not in sent
+            assert cluster.master_node.signals_mesh.stats.payload_counts["StartSync"] > 0
+        finally:
+            cluster.shutdown()
+
     def test_run_until_quiesced_times_out_cleanly(self):
         cluster = LoopbackCluster(2, config=RuntimeConfig(sync_interval=0.1))
         try:
