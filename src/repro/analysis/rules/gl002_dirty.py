@@ -1,10 +1,11 @@
 """GL002 — every in-place mutation of shared state must be tracked.
 
 Since the versioned object stores (PR 4), commit rounds copy only
-objects the runtime knows were touched: the issue path, apply stage and
-pending replays report every operation's may-touch set via
-``ObjectStore.mark_dirty``.  That bookkeeping is driven entirely by the
-repo's conventions for *where mutations are allowed to happen*:
+objects the runtime knows were touched: ``ObjectStore.run`` — the one
+call that executes an operation, at issue, commit and pending replay —
+stamps every operation's may-touch set via ``mark_dirty``.  That
+bookkeeping is driven entirely by the repo's conventions for *where
+mutations are allowed to happen*:
 
 * inside a shared class, only methods carrying a ``@modifies`` frame
   mutate — the runtime marks their objects dirty when they are issued

@@ -130,17 +130,25 @@ class IssueTicket:
     ISSUED = "issued"
     COMMITTED = "committed"
 
+    __slots__ = ("status", "issue_result", "commit_result", "key")
+
+    #: One condition for every ticket: a gateway retains each ticket for
+    #: the life of the daemon, so a per-ticket Event (a Condition and a
+    #: Lock of its own) was most of what a ticket cost.  Waiters are
+    #: rare, so waking all of them on each resolution is cheap.
+    _resolved = threading.Condition()
+
     def __init__(self):
         self.status = IssueTicket.PENDING
         self.issue_result: bool | None = None
         self.commit_result: bool | None = None
         self.key: OpKey | None = None
-        self._event = threading.Event()
 
     def _mark_rejected(self) -> None:
-        self.status = IssueTicket.REJECTED
-        self.issue_result = False
-        self._event.set()
+        with IssueTicket._resolved:
+            self.status = IssueTicket.REJECTED
+            self.issue_result = False
+            IssueTicket._resolved.notify_all()
 
     def _mark_issued(self, key: OpKey) -> None:
         self.status = IssueTicket.ISSUED
@@ -148,9 +156,10 @@ class IssueTicket:
         self.key = key
 
     def _mark_committed(self, result: bool) -> None:
-        self.status = IssueTicket.COMMITTED
-        self.commit_result = result
-        self._event.set()
+        with IssueTicket._resolved:
+            self.status = IssueTicket.COMMITTED
+            self.commit_result = result
+            IssueTicket._resolved.notify_all()
 
     def __bool__(self) -> bool:
         """True once the issue succeeded (compatible with the legacy
@@ -160,11 +169,12 @@ class IssueTicket:
     @property
     def done(self) -> bool:
         """True once the operation was rejected or committed."""
-        return self._event.is_set()
+        return self.status in (IssueTicket.REJECTED, IssueTicket.COMMITTED)
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until rejected/committed (real-time transport only)."""
-        return self._event.wait(timeout)
+        with IssueTicket._resolved:
+            return IssueTicket._resolved.wait_for(lambda: self.done, timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -352,12 +362,7 @@ class Guesstimate:
             if completion is not None:
                 completion(result)
 
-        ok = op.execute(self.model.guess)
-        # The guess store can't see method-level mutations; record the
-        # may-touch set so the next delta refresh re-copies these ids
-        # (a failed op may still have partially run — mark regardless).
-        self.model.guess.mark_dirty(op.object_ids())
-        if not ok:
+        if not self.model.guess.run(op):
             ticket._mark_rejected()
             self.host.notify_rejected(op)
             return

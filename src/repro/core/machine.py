@@ -62,11 +62,6 @@ class MachineModel:
     #: truncated to a suffix, so the master can tell a rejoining machine
     #: the numbering floor it must not reuse (Welcome.op_floor)
     op_high_water: dict[str, int] = field(default_factory=dict, compare=False)
-    #: key -> entry index over ``pending`` so lookups are O(1); kept
-    #: consistent by enqueue_pending/take_pending/requeue_pending_front
-    _pending_index: dict[OpKey, PendingEntry] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     # -- operation numbering ---------------------------------------------------
 
@@ -79,25 +74,41 @@ class MachineModel:
 
     def enqueue_pending(self, entry: PendingEntry) -> None:
         self.pending.append(entry)
-        self._pending_index[entry.key] = entry
 
     def take_pending(self) -> list[PendingEntry]:
         """Remove and return all pending entries (the flush step)."""
         taken = self.pending
         self.pending = []
-        self._pending_index.clear()
         return taken
 
     def requeue_pending_front(self, entries: list[PendingEntry]) -> None:
         """Put entries back at the head of P (flush-overflow backpressure)."""
         self.pending = list(entries) + self.pending
-        for entry in entries:
-            self._pending_index[entry.key] = entry
 
-    def find_pending(self, key: OpKey) -> PendingEntry | None:
-        return self._pending_index.get(key)
+    def replay_pending(self) -> list[PendingEntry]:
+        """Rebuild the guess on a freshly refreshed ``sg``: re-apply P.
+
+        Results are ignored, exactly like the semantics' ``[o]``
+        notation.  Returns the replayed entries so the runtime can
+        account for the executions.
+        """
+        for entry in self.pending:
+            self.guess.run(entry.op)
+            entry.executions += 1
+        return self.pending
 
     # -- completed sequence ------------------------------------------------------
+
+    def commit(self, key: OpKey, op: SharedOp, committed_at: float) -> bool:
+        """Rule R3 on this machine: execute ``op`` on ``sc``, append to C.
+
+        Every route by which an operation reaches this replica — a
+        live round, WAL recovery, a Welcome backlog — commits through
+        here, and C records the result *this* execution computed.
+        """
+        result = self.committed.run(op)
+        self.record_completed(CompletedEntry(key, op, result, committed_at))
+        return result
 
     def record_completed(self, entry: CompletedEntry) -> None:
         self.completed.append(entry)
@@ -107,9 +118,6 @@ class MachineModel:
     @property
     def completed_count(self) -> int:
         return len(self.completed)
-
-    def completed_keys(self) -> list[OpKey]:
-        return [entry.key for entry in self.completed]
 
     # -- invariant checks (used by tests and the model checker) -----------------
 

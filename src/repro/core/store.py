@@ -13,9 +13,10 @@ shared state."
 Stores are **versioned**: every object carries a monotonically
 increasing version stamp, bumped whenever the store observes a
 mutation (create / adopt / remove bump automatically; in-place method
-mutations are reported by the caller via :meth:`ObjectStore.mark_dirty`,
-which the issue path and the synchronizer's apply stage both do).  The
-stamps buy two asymptotic wins:
+mutations are stamped by :meth:`ObjectStore.run`, the one call that
+executes an operation against a store — the issue path, the commit
+step and the pending replay all go through it).  The stamps buy two
+asymptotic wins:
 
 * :meth:`refresh_delta_from` — the ApplyUpdatesFromMesh "copy committed
   onto guess" step in O(objects touched) instead of O(total objects):
@@ -34,10 +35,13 @@ Hypothesis properties in ``tests/properties`` assert.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import DuplicateObjectError, UnknownObjectError
 from repro.core.shared_object import GSharedObject
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (operations imports us)
+    from repro.core.operations import SharedOp
 
 
 class StateView:
@@ -85,12 +89,13 @@ class ObjectStore(StateView):
     def mark_dirty(self, unique_ids: Iterable[str]) -> None:
         """Record in-place mutations of ``unique_ids`` (may-touch superset).
 
-        The store cannot observe method calls on its objects, so every
-        caller that executes operations against a store must report the
-        touched ids here — the issue path, the pending-op replay, the
-        apply stage and the recovery replays all do.  Over-approximating
-        (ids an operation *may* touch) is safe; missing a mutated id is
-        not, which is what the refresh oracle exists to catch.
+        The store cannot observe method calls on its objects, so
+        whoever mutates one in place must report the touched ids here;
+        for operations :meth:`run` does it, so only writes that bypass
+        operations (a transaction's copy-back, a snapshot's
+        ``copy_from``) call this by hand.  Over-approximating (ids an
+        operation *may* touch) is safe; missing a mutated id is not,
+        which is what the refresh oracle exists to catch.
         """
         self._tick += 1
         tick = self._tick
@@ -98,6 +103,17 @@ class ObjectStore(StateView):
             if unique_id in self._objects:
                 self._versions[unique_id] = tick
                 self._dirty.add(unique_id)
+
+    def run(self, op: "SharedOp") -> bool:
+        """Execute ``op`` against this store and stamp its may-touch set.
+
+        The one way the model and the runtime execute an operation: the
+        stamp cannot be forgotten, and a failed operation may still
+        have partially run, so it is stamped regardless of the result.
+        """
+        ok = op.execute(self)
+        self.mark_dirty(op.object_ids())
+        return ok
 
     def version(self, unique_id: str) -> int:
         """Current version stamp of ``unique_id`` (0 if absent)."""

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from repro.evalkit.experiments.durability import DurableCounter
+from repro.evalkit.experiments.syncscale import drive_workload
 from repro.runtime import messages as msg
 from repro.runtime.config import RuntimeConfig, SyncConfig
 from repro.runtime.profiling import PHASES, PhaseProfiler
@@ -80,26 +80,7 @@ def _profiled_run(
     system = DistributedSystem(n_machines=machines, seed=seed, config=config)
     profiler = system.attach_profiler(PhaseProfiler())
     system.start(first_sync_delay=0.1)
-    counter = system.apis()[0].create_instance(DurableCounter)
-    system.run_until_quiesced()
-    replicas = {
-        machine_id: system.api(machine_id).join_instance(counter.unique_id)
-        for machine_id in system.machine_ids()
-    }
-    interval = system.config.sync_interval / 3.0
-
-    def tick(machine_id: str) -> None:
-        api = system.api(machine_id)
-        for _ in range(ops_per_tick):
-            api.invoke(replicas[machine_id], "increment", 10**9)
-        if system.loop.now() < deadline:
-            system.loop.call_later(interval, lambda: tick(machine_id))
-
-    deadline = system.loop.now() + duration
-    for index, machine_id in enumerate(system.machine_ids()):
-        system.loop.call_later(0.01 * index, lambda m=machine_id: tick(m))
-    system.run_for(duration)
-    system.run_until_quiesced()
+    drive_workload(system, duration, ops_per_tick)
     system.stop()
     system.check_all_invariants()
     metrics = system.metrics

@@ -48,7 +48,6 @@ class ModePoint:
     ops_committed: int = 0
     throughput_ops_s: float = 0.0
     op_batches: int = 0
-    op_messages: int = 0  # single-op frames (legacy framing), for contrast
 
 
 @dataclass
@@ -85,7 +84,7 @@ def _mode_config(mode: str, pipeline_depth: int, batch_max_ops: int) -> RuntimeC
     return RuntimeConfig(sync_interval=0.5, sync=sync)
 
 
-def _drive_workload(
+def drive_workload(
     system: DistributedSystem, duration: float, ops_per_tick: int
 ) -> str:
     """Every machine issues ``ops_per_tick`` increments ~3x per round."""
@@ -126,7 +125,7 @@ def _measure(
     config = _mode_config(mode, pipeline_depth, batch_max_ops)
     system = DistributedSystem(n_machines=machines, seed=seed, config=config)
     system.start(first_sync_delay=0.1)
-    _drive_workload(system, duration, ops_per_tick)
+    drive_workload(system, duration, ops_per_tick)
     system.stop()
     system.check_all_invariants()
 
@@ -137,8 +136,6 @@ def _measure(
     point.ops_committed = sum(r.ops_committed for r in metrics.sync_records)
     point.throughput_ops_s = metrics.commit_throughput()
     point.op_batches = metrics.total_op_batches()
-    payloads = system.meshes.operations.stats.payload_counts
-    point.op_messages = payloads.get("OpMessage", 0)
     return point
 
 
@@ -238,7 +235,6 @@ def to_bench_json(result: SyncScaleResult) -> dict:
                     "ops_committed": p.ops_committed,
                     "commit_throughput_ops_s": round(p.throughput_ops_s, 3),
                     "op_batches": p.op_batches,
-                    "op_messages": p.op_messages,
                 }
                 for p in result.series(mode)
             ]

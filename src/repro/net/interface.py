@@ -80,8 +80,7 @@ class MeshStats:
     dropped: int = 0
     undeliverable: int = 0  # recipient crashed or absent at delivery time
     #: scheduled sends by payload type name (one count per recipient) —
-    #: lets the sync benchmark report message-frame counts, e.g. how
-    #: many OpBatch frames replaced how many OpMessages.
+    #: lets tests and benchmarks report message-frame counts.
     payload_counts: dict = field(default_factory=dict)
 
     def count_payload(self, payload: object) -> None:

@@ -18,10 +18,9 @@ Signals channel (control plane):
 
 Operations channel (data plane):
 
-* :class:`OpMessage` — one flushed operation, the paper's
-  "(machineID, operation number, operation)" triple.
 * :class:`OpBatch` — a size-capped frame of flushed operations from
-  one machine (the batched wire format of the pipelined synchronizer).
+  one machine, each the paper's "(machineID, operation number,
+  operation)" triple.
 """
 
 from __future__ import annotations
@@ -223,30 +222,15 @@ class Restart:
 
 
 @dataclass(frozen=True, slots=True)
-class OpMessage:
-    """One operation in flight: the paper's (machineID, opnumber, op) triple.
-
-    Retained for single-op traffic and protocol fidelity; bulk flushes
-    ride in :class:`OpBatch` frames instead.
-    """
-
-    round_id: int
-    machine_id: str
-    op_number: int
-    payload: dict = field(hash=False)
-
-
-@dataclass(frozen=True, slots=True)
 class OpBatch:
     """A size-capped frame of flushed operations from one machine.
 
     ``ops`` is a tuple of ``(op_number, encoded op)`` pairs, all
-    originated by ``machine_id`` — semantically equivalent to one
-    :class:`OpMessage` per pair, but amortizing per-message overhead
-    (the batching lever of the pipelined synchronizer).  ``seq`` /
-    ``total`` number the frames of one flush so receivers and the
-    deterministic ``(machine_id, seq)`` arrival order are stable; the
-    consolidated list is still applied in global
+    originated by ``machine_id`` — with the round id, the paper's
+    (machineID, opnumber, op) triples, amortizing per-message overhead
+    over a frame.  ``seq`` / ``total`` number the frames of one flush
+    so receivers and the deterministic ``(machine_id, seq)`` arrival
+    order are stable; the consolidated list is still applied in global
     ``(machineID, opnumber)`` order.
     """
 

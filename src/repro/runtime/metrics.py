@@ -85,8 +85,8 @@ class NodeMetrics:
     #: sum over refreshes of the committed store's live object count —
     #: what the naive full copy would have copied (the A/B denominator)
     refresh_objects_live: int = 0
-    #: wire-op decodes avoided by reusing the in-flight op tree or the
-    #: per-round decode memo, vs. decodes actually performed
+    #: wire-op decodes avoided by reusing the in-flight op tree of an
+    #: operation this machine issued, vs. decodes actually performed
     decode_cache_hits: int = 0
     decode_cache_misses: int = 0
 
@@ -167,36 +167,6 @@ class SystemMetrics:
 
     def total_op_batches(self) -> int:
         return sum(m.op_batches_sent for m in self.node_metrics.values())
-
-    def total_wal_records(self) -> int:
-        return sum(m.storage.records_appended for m in self.node_metrics.values())
-
-    def total_wal_bytes(self) -> int:
-        return sum(m.storage.bytes_appended for m in self.node_metrics.values())
-
-    def total_fsyncs(self) -> int:
-        return sum(m.storage.fsyncs for m in self.node_metrics.values())
-
-    def total_crash_recoveries(self) -> int:
-        return sum(m.crash_recoveries for m in self.node_metrics.values())
-
-    def total_refresh_copies(self) -> int:
-        """Objects copied committed -> guess across all machines."""
-        return sum(m.refresh_objects_copied for m in self.node_metrics.values())
-
-    def total_refresh_live(self) -> int:
-        """What the naive full copy would have moved (the denominator
-        of the delta-refresh savings ratio)."""
-        return sum(m.refresh_objects_live for m in self.node_metrics.values())
-
-    def refresh_copy_ratio(self) -> float:
-        """Fraction of live state actually copied per refresh; 1.0 for
-        the naive full copy, << 1 under delta refresh on workloads that
-        touch few objects per round."""
-        live = self.total_refresh_live()
-        if live == 0:
-            return 0.0
-        return self.total_refresh_copies() / live
 
     def total_decode_cache_hits(self) -> int:
         return sum(m.decode_cache_hits for m in self.node_metrics.values())

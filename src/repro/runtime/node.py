@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.guesstimate import Guesstimate, Host
-from repro.core.machine import CompletedEntry, MachineModel, PendingEntry
+from repro.core.machine import MachineModel, PendingEntry
 from repro.core.operations import OpKey
 from repro.core.readlock import ReadLockTable
 from repro.core.serialization import decode_op, decode_state
@@ -26,6 +26,19 @@ from repro.runtime.synchronizer import MasterControl, Synchronizer
 from repro.runtime.tracing import Tracer
 from repro.sim.scheduler import Scheduler
 from repro.storage.store import CommitRecord, RecoveredState, build_storage
+
+
+def commit_logged(model: MachineModel, entries) -> None:
+    """Commit logged ``(machine, op number, payload, result, time)``
+    entries — a WAL record's or a Welcome backlog's — onto ``model``.
+
+    Replay is deterministic, so C records the result computed here and
+    the logged one is ignored: a replay that diverges from the log
+    shows up in the completed-sequence comparisons instead of being
+    copied over.
+    """
+    for machine_id, op_number, payload, _logged_result, committed_at in entries:
+        model.commit(OpKey(machine_id, op_number), decode_op(payload), committed_at)
 
 
 class GuesstimateNode(Host):
@@ -218,7 +231,6 @@ class GuesstimateNode(Host):
         # (those rounds completed without us); the pending list survives.
         self.synchronizer.rounds.clear()
         self.synchronizer.op_buffer.clear()
-        self.synchronizer.last_flush.clear()
         self.meshes.join(self.machine_id, self._on_signal, self._on_op)
         self.state = GuesstimateNode.STATE_JOINING
         self.synchronizer.last_master_signal = self.scheduler.now()
@@ -291,19 +303,10 @@ class GuesstimateNode(Host):
             model.committed.adopt(
                 unique_id, decode_state({"type": type_name, "state": state})
             )
-        max_own_op = 0
         for commit in recovered.commits:
-            for machine_id, op_number, payload, result, committed_at in commit.entries:
-                op = decode_op(payload)
-                op.execute(model.committed)  # deterministic replay
-                model.committed.mark_dirty(op.object_ids())
-                model.record_completed(
-                    CompletedEntry(OpKey(machine_id, op_number), op, result, committed_at)
-                )
-                if machine_id == self.machine_id:
-                    max_own_op = max(max_own_op, op_number)
+            commit_logged(model, commit.entries)
         model.guess.refresh_from(model.committed)
-        model._op_counter = max_own_op
+        model._op_counter = model.op_high_water.get(self.machine_id, 0)
         return model
 
     def recover_and_rejoin(self) -> None:
@@ -357,6 +360,12 @@ class GuesstimateNode(Host):
             if not 0 <= skip <= len(welcome.backlog):
                 return
             self._load_welcome_backlog(welcome, skip)
+            self.trace(
+                Tracer.STORAGE,
+                action="catch_up",
+                backlog=len(welcome.backlog),
+                completed=self.completed_offset + self.model.completed_count,
+            )
         else:
             self._load_welcome_snapshot(welcome)
         self._recovered_count = None
@@ -367,11 +376,7 @@ class GuesstimateNode(Host):
         # Operations issued while offline are still pending: re-apply
         # them to the refreshed guesstimate ([P](sc) = sg) so they can
         # flush in the next round.
-        for entry in self.model.pending:
-            entry.op.execute(self.model.guess)
-            self.model.guess.mark_dirty(entry.op.object_ids())
-            entry.executions += 1
-            self.metrics.record_execution(entry.key)
+        self.replay_pending()
         self.state = GuesstimateNode.STATE_ACTIVE
         self.signals_mesh.send(
             self.machine_id, welcome.master_id, msg.WelcomeAck(self.machine_id)
@@ -409,39 +414,13 @@ class GuesstimateNode(Host):
                 # fresh Hello announces our true position.
                 self.restart()
                 return
-            if (
-                welcome.backlog_from is not None
-                and welcome.backlog_from <= local_total
-            ):
-                skip = local_total - welcome.backlog_from
-                logged: list[tuple] = []
-                for entry in welcome.backlog[skip:]:
-                    machine_id, op_number, payload, result, committed_at = entry
-                    op = decode_op(payload)
-                    op.execute(self.model.committed)
-                    self.model.committed.mark_dirty(op.object_ids())
-                    self.model.record_completed(
-                        CompletedEntry(
-                            OpKey(machine_id, op_number), op, result, committed_at
-                        )
-                    )
-                    logged.append(entry)
-                if logged:
-                    self.storage.append_commit(
-                        CommitRecord(
-                            -1,
-                            tuple(logged),
-                            self.completed_offset + self.model.completed_count,
-                        )
-                    )
+            if welcome.backlog_from is not None:
+                self._load_welcome_backlog(
+                    welcome, local_total - welcome.backlog_from
+                )
             else:
                 self._load_welcome_snapshot(welcome)
-            self.model.guess.refresh_from(self.model.committed)
-            for entry in self.model.pending:
-                entry.op.execute(self.model.guess)
-                self.model.guess.mark_dirty(entry.op.object_ids())
-                entry.executions += 1
-                self.metrics.record_execution(entry.key)
+            self.replay_pending()
             self.trace(
                 Tracer.MEMBERSHIP,
                 action="catch_up_welcome",
@@ -471,39 +450,32 @@ class GuesstimateNode(Host):
         # The durable log is superseded by the snapshot we just took.
         self.storage.rebase(dict(welcome.snapshot), welcome.completed_count)
 
-    def _load_welcome_backlog(self, welcome: msg.Welcome, skip: int = 0) -> None:
-        """Crash-recovery catch-up: replay only the missed commits.
+    def _load_welcome_backlog(self, welcome: msg.Welcome, skip: int) -> None:
+        """Catch up by replaying only the commits this node missed.
 
-        The recovered committed state plus this backlog is, by the
-        global ordering, byte-identical to every survivor's ``sc`` —
-        and unlike the snapshot path the node keeps its completed
+        The held committed state plus this backlog is, by the global
+        ordering, byte-identical to every survivor's ``sc`` — and
+        unlike the snapshot path the node keeps its completed
         sequence, extended by the missed suffix.  ``skip`` drops
-        leading backlog entries the recovered state already holds
-        (a Welcome built from an older Hello's position overlaps).
+        leading backlog entries the node already holds (a Welcome built
+        from an older position overlaps).
         """
-        logged: list[tuple] = []
-        for machine_id, op_number, payload, result, committed_at in welcome.backlog[
-            skip:
-        ]:
-            op = decode_op(payload)
-            op.execute(self.model.committed)
-            self.model.committed.mark_dirty(op.object_ids())
-            self.model.record_completed(
-                CompletedEntry(OpKey(machine_id, op_number), op, result, committed_at)
-            )
-            logged.append((machine_id, op_number, payload, result, committed_at))
-        completed_global = self.completed_offset + self.model.completed_count
-        if logged:
+        missed = welcome.backlog[skip:]
+        commit_logged(self.model, missed)
+        if missed:
             # Catch-up batches are logged like a round (round_id -1
             # marks them) so recovery replays them in order too.
             self.storage.append_commit(
-                CommitRecord(-1, tuple(logged), completed_global)
+                CommitRecord(
+                    -1, missed, self.completed_offset + self.model.completed_count
+                )
             )
         self.model.guess.refresh_from(self.model.committed)
-        self.trace(
-            Tracer.STORAGE, action="catch_up", backlog=len(welcome.backlog),
-            completed=completed_global,
-        )
+
+    def replay_pending(self) -> None:
+        """Re-apply P onto the refreshed guess, counting the executions."""
+        for entry in self.model.replay_pending():
+            self.metrics.record_execution(entry.key)
 
     # -- Host protocol (what the facade needs) ---------------------------------------
 
@@ -601,7 +573,7 @@ class GuesstimateNode(Host):
     def _on_op(self, envelope: Envelope) -> None:
         if self.state == GuesstimateNode.STATE_STOPPED:
             return
-        if isinstance(envelope.payload, (msg.OpMessage, msg.OpBatch)):
+        if isinstance(envelope.payload, msg.OpBatch):
             self.synchronizer.handle_op(envelope.payload)
 
     # -- master failover (section-9 extension) ----------------------------------------

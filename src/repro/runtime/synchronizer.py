@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.machine import CompletedEntry, PendingEntry
+from repro.core.machine import PendingEntry
 from repro.core.operations import OpKey
 from repro.core.serialization import decode_op, encode_op
 from repro.runtime import messages as msg
@@ -94,8 +94,6 @@ class RoundState:
     applied: bool = False
     done: bool = False
     missing_timer: object | None = None
-    #: per-round decode_op memo (resends/replays reuse decoded trees)
-    decoded: dict[OpKey, object] = field(default_factory=dict)
 
     def received_count_from(self, machine_id: str) -> int:
         return sum(1 for key in self.received if key.machine_id == machine_id)
@@ -123,7 +121,6 @@ class Synchronizer:
         self.node = node
         self.rounds: dict[int, RoundState] = {}
         self.op_buffer: dict[int, dict[OpKey, dict]] = {}
-        self.last_flush: dict[int, dict[OpKey, dict]] = {}
         self.in_flight: dict[OpKey, PendingEntry] = {}
         self.pending_completions: list[tuple[PendingEntry, bool]] = []
         #: committed-store ids touched by applied rounds whose guess
@@ -209,17 +206,14 @@ class Synchronizer:
             if payload.machine_id == node.machine_id:
                 node.load_welcome(payload)
 
-    def handle_op(self, payload: msg.OpMessage | msg.OpBatch) -> None:
-        """Dispatch one operations-channel message (single op or batch)."""
+    def handle_op(self, payload: msg.OpBatch) -> None:
+        """Dispatch one operations-channel frame."""
         if self.node.state == self.node.STATE_JOINING:
             return  # not in any round until welcomed
-        if isinstance(payload, msg.OpBatch):
-            items = [
-                (OpKey(payload.machine_id, op_number), op_payload)
-                for op_number, op_payload in payload.ops
-            ]
-        else:
-            items = [(OpKey(payload.machine_id, payload.op_number), payload.payload)]
+        items = [
+            (OpKey(payload.machine_id, op_number), op_payload)
+            for op_number, op_payload in payload.ops
+        ]
         if payload.round_id <= self.last_done_round:
             return  # late frames for a round that already completed
         round_state = self.rounds.get(payload.round_id)
@@ -263,14 +257,12 @@ class Synchronizer:
             overflow = entries[node.config.max_ops_per_flush :]
             entries = entries[: node.config.max_ops_per_flush]
             node.model.requeue_pending_front(overflow)
-        stash = self.last_flush.setdefault(round_state.round_id, {})
         encoded: list[tuple[int, dict]] = []
         profiler = node.profiler
         if profiler.enabled:
             _t0 = profiler.begin()
         for entry in entries:
             payload = encode_op(entry.op)
-            stash[entry.key] = payload
             self.in_flight[entry.key] = entry
             round_state.received[entry.key] = payload  # self-delivery
             encoded.append((entry.key.op_number, payload))
@@ -364,20 +356,17 @@ class Synchronizer:
     def _on_resend_request(self, request: msg.ResendOpsRequest) -> None:
         if request.machine_id == self.node.machine_id:
             return
-        # Serve from everything we hold for the round: our own flush
-        # stash plus every frame we received.  The requester may be
-        # missing ops whose issuer has since crashed or been removed —
-        # any surviving holder must be able to close the gap.
-        available: dict[OpKey, dict] = {}
+        # Serve from everything we hold for the round — our own flush
+        # (self-delivered into ``received``) plus every frame we
+        # received.  The requester may be missing ops whose issuer has
+        # since crashed or been removed: any surviving holder must be
+        # able to close the gap.
         round_state = self.rounds.get(request.round_id)
-        if round_state is not None:
-            available.update(round_state.received)
-        available.update(self.last_flush.get(request.round_id, {}))
-        if not available:
+        if round_state is None or not round_state.received:
             return
         have = {OpKey(machine, number) for machine, number in request.have}
         by_issuer: dict[str, list[tuple[int, dict]]] = {}
-        for key, payload in available.items():
+        for key, payload in round_state.received.items():
             if key not in have:
                 by_issuer.setdefault(key.machine_id, []).append(
                     (key.op_number, payload)
@@ -445,31 +434,22 @@ class Synchronizer:
         decoded = []
         for key in keys:
             # Decode cache: our own in-flight ops still hold the
-            # original operation tree (operations are immutable data),
-            # and the per-round memo covers payloads a resend or replay
-            # already decoded — only genuinely new payloads pay decode.
+            # original operation tree (operations are immutable data);
+            # only other machines' payloads pay decode.
             entry = self.in_flight.get(key)
             if entry is not None:
                 op = entry.op
                 node.metrics.decode_cache_hits += 1
             else:
-                op = round_state.decoded.get(key)
-                if op is None:
-                    op = decode_op(round_state.received[key])
-                    round_state.decoded[key] = op
-                    node.metrics.decode_cache_misses += 1
-                else:
-                    node.metrics.decode_cache_hits += 1
+                op = decode_op(round_state.received[key])
+                node.metrics.decode_cache_misses += 1
             decoded.append((key, op))
             object_ids |= op.object_ids()
         remote_touched: set[str] = set()
         logged: list[tuple] = []
         with node.read_locks.writing(sorted(object_ids)):
             for key, op in decoded:
-                result = op.execute(node.model.committed)
-                node.model.record_completed(
-                    CompletedEntry(key, op, result, node.scheduler.now())
-                )
+                result = node.model.commit(key, op, node.scheduler.now())
                 logged.append(
                     (
                         key.machine_id,
@@ -493,10 +473,8 @@ class Synchronizer:
                         node.metrics.ops_committed_failed += 1
                         if entry.issue_result:
                             node.metrics.conflicts += 1
-            # Version bookkeeping: these are exactly the committed-store
-            # ids this round may have mutated — the delta guess-refresh
-            # and the version-keyed snapshot cache both key off them.
-            node.model.committed.mark_dirty(object_ids)
+        # Exactly the committed-store ids this round may have mutated:
+        # what the delta guess-refresh must re-copy.
         self.refresh_backlog |= object_ids
         round_state.applied = True
         if profiler.enabled:
@@ -569,11 +547,7 @@ class Synchronizer:
             if entry.completion is not None:
                 entry.completion(result)
             node.trace(Tracer.COMPLETION, key=str(entry.key), ok=result)
-        for entry in node.model.pending:
-            entry.op.execute(node.model.guess)  # result deliberately ignored
-            node.model.guess.mark_dirty(entry.op.object_ids())
-            entry.executions += 1
-            node.metrics.record_execution(entry.key)
+        node.replay_pending()
         if profiler.enabled:
             profiler.end("refresh", _t0)
         if node.config.refresh_oracle and not node.model.check_convergence_invariant():
@@ -602,7 +576,6 @@ class Synchronizer:
             round_state.done = True
             if round_state.missing_timer is not None:
                 round_state.missing_timer.cancel()  # type: ignore[attr-defined]
-        self.last_flush.pop(done.round_id, None)
         self.op_buffer.pop(done.round_id, None)
         if missed_commit:
             # The cluster committed a round we never applied (the master
@@ -678,7 +651,6 @@ class Synchronizer:
         self.rounds.clear()
         self.op_buffer.clear()
         self.refresh_backlog.clear()
-        self.last_flush.clear()
         self.in_flight.clear()
         self.pending_completions.clear()
         self.evicted = False

@@ -129,7 +129,75 @@ def check_cluster_invariants(nodes) -> None:
         raise SimulationError("invariant violated: [P](sc) != sg")
 
 
-class DistributedSystem:
+class Cluster:
+    """What every deployment shape — simulated or socket-backed — offers
+    workload drivers and probes over its ``nodes``.
+
+    Subclasses build ``self.nodes`` (machine id -> node, master first)
+    and supply the clock (``loop``, ``run_for``, ``run_until_quiesced``);
+    everything judged here is judged by the same code on both.
+    """
+
+    nodes: dict[str, GuesstimateNode]
+
+    @property
+    def master_node(self) -> GuesstimateNode:
+        for node in self.nodes.values():
+            if node.is_master:
+                return node
+        raise SimulationError("cluster has no master")
+
+    def node(self, machine_id: str) -> GuesstimateNode:
+        return self.nodes[machine_id]
+
+    def machine_ids(self) -> list[str]:
+        return list(self.nodes)
+
+    def api(self, machine_id: str) -> Guesstimate:
+        """The GUESSTIMATE facade application code uses on that machine."""
+        return self.nodes[machine_id].api
+
+    def start(self, first_sync_delay: float | None = None) -> None:
+        """Begin periodic synchronization (master schedules round 1)."""
+        self.master_node.master.start(first_sync_delay)  # type: ignore[union-attr]
+
+    def stop(self) -> None:
+        """Stop initiating new synchronization rounds."""
+        master = self.master_node.master
+        if master is not None:
+            master.stop()
+
+    # -- correctness probes ------------------------------------------------------------
+
+    def quiesced(self) -> bool:
+        """No pending work anywhere and no operations in flight."""
+        return cluster_quiesced(self.master_node, self.nodes.values())
+
+    def active_nodes(self) -> list[GuesstimateNode]:
+        return [
+            node
+            for node in self.nodes.values()
+            if node.state == GuesstimateNode.STATE_ACTIVE
+        ]
+
+    def committed_states_equal(self) -> bool:
+        """Paper invariant: sc(i) = sc(j) for all machine pairs."""
+        return committed_states_equal(self.active_nodes())
+
+    def completed_sequences_equal(self) -> bool:
+        """Paper invariant: C(i) = C(j), aligned by join offsets."""
+        return completed_sequences_equal(self.active_nodes())
+
+    def convergence_invariant_holds(self) -> bool:
+        """Per-machine invariant [P](sc) = sg (valid at quiescent points)."""
+        return convergence_invariant_holds(self.active_nodes())
+
+    def check_all_invariants(self) -> None:
+        """Assert every paper invariant; call at quiescent points only."""
+        check_cluster_invariants(self.active_nodes())
+
+
+class DistributedSystem(Cluster):
     """A complete simulated GUESSTIMATE deployment."""
 
     def __init__(
@@ -193,10 +261,6 @@ class DistributedSystem:
             self.master_node.master.participants.append(machine_id)  # type: ignore[union-attr]
         return node
 
-    def start(self, first_sync_delay: float | None = None) -> None:
-        """Begin periodic synchronization (master schedules round 1)."""
-        self.master_node.master.start(first_sync_delay)  # type: ignore[union-attr]
-
     def attach_profiler(self, profiler: PhaseProfiler) -> PhaseProfiler:
         """Attribute every node's hot-path wall time to ``profiler``.
 
@@ -215,23 +279,6 @@ class DistributedSystem:
         return node
 
     # -- accessors ---------------------------------------------------------------
-
-    @property
-    def master_node(self) -> GuesstimateNode:
-        for node in self.nodes.values():
-            if node.is_master:
-                return node
-        raise SimulationError("system has no master")
-
-    def node(self, machine_id: str) -> GuesstimateNode:
-        return self.nodes[machine_id]
-
-    def machine_ids(self) -> list[str]:
-        return list(self.nodes)
-
-    def api(self, machine_id: str) -> Guesstimate:
-        """The GUESSTIMATE facade application code uses on that machine."""
-        return self.nodes[machine_id].api
 
     def apis(self) -> list[Guesstimate]:
         return [node.api for node in self.nodes.values()]
@@ -261,38 +308,3 @@ class DistributedSystem:
         raise SimulationError(
             f"system did not quiesce within {max_time}s of virtual time"
         )
-
-    def stop(self) -> None:
-        """Stop initiating new synchronization rounds."""
-        master = self.master_node.master
-        if master is not None:
-            master.stop()
-
-    # -- correctness probes ------------------------------------------------------------
-
-    def quiesced(self) -> bool:
-        """No pending work anywhere and no operations in flight."""
-        return cluster_quiesced(self.master_node, self.nodes.values())
-
-    def active_nodes(self) -> list[GuesstimateNode]:
-        return [
-            node
-            for node in self.nodes.values()
-            if node.state == GuesstimateNode.STATE_ACTIVE
-        ]
-
-    def committed_states_equal(self) -> bool:
-        """Paper invariant: sc(i) = sc(j) for all machine pairs."""
-        return committed_states_equal(self.active_nodes())
-
-    def completed_sequences_equal(self) -> bool:
-        """Paper invariant: C(i) = C(j), aligned by join offsets."""
-        return completed_sequences_equal(self.active_nodes())
-
-    def convergence_invariant_holds(self) -> bool:
-        """Per-machine invariant [P](sc) = sg (valid at quiescent points)."""
-        return convergence_invariant_holds(self.active_nodes())
-
-    def check_all_invariants(self) -> None:
-        """Assert every paper invariant; call at quiescent points only."""
-        check_cluster_invariants(self.active_nodes())

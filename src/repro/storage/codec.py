@@ -182,7 +182,6 @@ register_wire_type(msg.WelcomeAck)
 register_wire_type(msg.Goodbye)
 register_wire_type(msg.ParticipantRemoved)
 register_wire_type(msg.Restart)
-register_wire_type(msg.OpMessage)
 
 
 def _batch_ops(value: list) -> tuple[tuple, ...]:

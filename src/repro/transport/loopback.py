@@ -4,13 +4,14 @@ The deterministic simulator is the reproduction's verification twin;
 this module points the same workloads and invariant probes at a
 cluster of nodes that genuinely talk TCP on 127.0.0.1.
 
-:class:`LoopbackCluster` mirrors the driver surface of
+:class:`LoopbackCluster` shares the driver surface of
 :class:`~repro.runtime.system.DistributedSystem` (``nodes``, ``api``,
-``loop.call_later``, ``run_for``, ``run_until_quiesced``, the invariant
-checks) so workload sessions, simfuzz workloads and probes run
-*unmodified* — the only difference is that ``run_for`` advances wall
-clock with sockets underneath instead of virtual time.  All nodes live
-on one asyncio loop in one process, each with its own
+the invariant checks — one :class:`~repro.runtime.system.Cluster` base)
+and supplies its own clock (``loop.call_later``, ``run_for``,
+``run_until_quiesced``), so workload sessions, simfuzz workloads and
+probes run *unmodified* — the only difference is that ``run_for``
+advances wall clock with sockets underneath instead of virtual time.
+All nodes live on one asyncio loop in one process, each with its own
 :class:`~repro.transport.netmesh.NodeTransport` (own TCP server, own
 peer links), so every inter-node message really crosses a socket.
 
@@ -37,18 +38,12 @@ from repro.errors import ExperimentError, GuesstimateError, SimulationError
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import SystemMetrics
 from repro.runtime.node import GuesstimateNode
-from repro.runtime.system import (
-    check_cluster_invariants,
-    cluster_quiesced,
-    committed_states_equal,
-    completed_sequences_equal,
-    convergence_invariant_holds,
-)
+from repro.runtime.system import Cluster
 from repro.transport.netmesh import NetworkMeshPair, NodeTransport
 from repro.transport.scheduler import AsyncioScheduler
 
 
-class LoopbackCluster:
+class LoopbackCluster(Cluster):
     """N socket-backed nodes on one asyncio loop, one per transport."""
 
     def __init__(
@@ -108,33 +103,7 @@ class LoopbackCluster:
                 {mid: addr for mid, addr in addresses.items() if mid != machine_id}
             )
 
-    # -- DistributedSystem-compatible surface --------------------------------
-
-    @property
-    def master_node(self) -> GuesstimateNode:
-        for node in self.nodes.values():
-            if node.is_master:
-                return node
-        raise SimulationError("cluster has no master")
-
-    def node(self, machine_id: str) -> GuesstimateNode:
-        return self.nodes[machine_id]
-
-    def machine_ids(self) -> list[str]:
-        return list(self.nodes)
-
-    def api(self, machine_id: str) -> Guesstimate:
-        return self.nodes[machine_id].api
-
-    def start(self, first_sync_delay: float | None = None) -> None:
-        master = self.master_node.master
-        assert master is not None
-        master.start(first_sync_delay)
-
-    def stop(self) -> None:
-        master = self.master_node.master
-        if master is not None:
-            master.stop()
+    # -- the clock (the rest of the driver surface is Cluster's) -------------
 
     def run_for(self, seconds: float) -> None:
         """Run the loop (sockets, timers, handlers) for wall-clock time."""
@@ -151,28 +120,6 @@ class LoopbackCluster:
         raise SimulationError(
             f"cluster did not quiesce within {max_time}s of wall-clock time"
         )
-
-    def quiesced(self) -> bool:
-        return cluster_quiesced(self.master_node, self.nodes.values())
-
-    def active_nodes(self) -> list[GuesstimateNode]:
-        return [
-            node
-            for node in self.nodes.values()
-            if node.state == GuesstimateNode.STATE_ACTIVE
-        ]
-
-    def committed_states_equal(self) -> bool:
-        return committed_states_equal(self.active_nodes())
-
-    def completed_sequences_equal(self) -> bool:
-        return completed_sequences_equal(self.active_nodes())
-
-    def convergence_invariant_holds(self) -> bool:
-        return convergence_invariant_holds(self.active_nodes())
-
-    def check_all_invariants(self) -> None:
-        check_cluster_invariants(self.active_nodes())
 
     # -- teardown ------------------------------------------------------------
 

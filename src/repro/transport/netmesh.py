@@ -42,7 +42,6 @@ from repro.sim.rand import seeded_stream
 from repro.transport.framing import (
     FrameDecoder,
     WireFrame,
-    encode_frame,
     encode_frame_with_payload,
     encode_payload,
 )
@@ -254,25 +253,9 @@ class NodeTransport:
         The sequence number advances even when the link is down, so the
         receiver's gap counter accounts for the loss after reconnect.
         """
-        key = (peer_id, channel)
-        seq = self._send_seq.get(key, 0) + 1
-        self._send_seq[key] = seq
-        data = encode_frame(
-            WireFrame(
-                channel=channel,
-                sender=sender,
-                recipient=peer_id,
-                seq=seq,
-                sent_at=sent_at,
-                payload=payload,
-            )
+        return self.ship_encoded(
+            peer_id, channel, sender, sent_at, encode_payload(payload)
         )
-        link = self.links.get(peer_id)
-        if link is None or not link.send(data):
-            self.stats.send_failures += 1
-            return False
-        self.stats.frames_sent += 1
-        return True
 
     def ship_encoded(
         self,

@@ -76,3 +76,101 @@ class TestTicketLifecycleOverRuntime:
         )
         system.run_until_quiesced()
         assert ticket.wait(timeout=0.01)  # already committed; no block
+
+
+class TestTicketWait:
+    """``wait()`` is the blocking pattern's primitive (paper section 5);
+    tickets share one condition, so each must still wake on its own
+    resolution and must stay cheap to retain."""
+
+    def waiter(self, ticket):
+        import threading
+
+        outcome = []
+        thread = threading.Thread(
+            target=lambda: outcome.append(ticket.wait(timeout=5.0))
+        )
+        thread.start()
+        return thread, outcome
+
+    def resolve_from_main_thread(self, ticket, resolve):
+        thread, outcome = self.waiter(ticket)
+        assert not ticket.wait(timeout=0.05)  # still unresolved: times out
+        resolve()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert outcome == [True]
+        assert ticket.done
+        assert ticket.wait(timeout=0.01)  # resolved: returns, never blocks
+
+    def test_second_thread_wakes_on_commit(self):
+        api = make_api()
+        counter = api.create_instance(Counter)
+        ticket = api.invoke(counter, "increment", 5)
+        assert ticket.status == "issued" and not ticket.done
+        entry = api.model.pending[-1]
+        self.resolve_from_main_thread(ticket, lambda: entry.completion(True))
+        assert ticket.status == "committed" and ticket.commit_result is True
+
+    def test_second_thread_wakes_on_rejection(self):
+        from repro.core.guesstimate import IssueTicket
+
+        ticket = IssueTicket()
+        self.resolve_from_main_thread(ticket, ticket._mark_rejected)
+        assert ticket.status == "rejected" and not ticket
+
+    def test_another_tickets_resolution_does_not_release_a_waiter(self):
+        from repro.core.guesstimate import IssueTicket
+
+        waiting, other = IssueTicket(), IssueTicket()
+        thread, outcome = self.waiter(waiting)
+        other._mark_committed(True)
+        thread.join(timeout=0.1)
+        assert thread.is_alive() and outcome == []
+        waiting._mark_committed(False)
+        thread.join(timeout=5.0)
+        assert outcome == [True]
+
+    def test_no_wakeup_is_lost_with_more_waiters_than_cores(self):
+        import sys
+
+        from repro.core.guesstimate import IssueTicket
+
+        tickets = [IssueTicket() for _ in range(32)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            waiters = [self.waiter(ticket) for ticket in tickets]
+            for index, ticket in enumerate(tickets):
+                if index % 2:
+                    ticket._mark_rejected()
+                else:
+                    ticket._mark_committed(True)
+            for thread, _outcome in waiters:
+                thread.join(timeout=5.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread, _ in waiters)
+        assert all(outcome == [True] for _, outcome in waiters)
+
+    def test_a_retained_ticket_stays_under_300_bytes(self):
+        """A gateway keeps every ticket for the life of the daemon."""
+        import tracemalloc
+
+        from repro.core.guesstimate import IssueTicket
+        from repro.core.operations import OpKey
+
+        count = 5000
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tickets = []
+            for number in range(count):
+                ticket = IssueTicket()
+                ticket._mark_issued(OpKey("m01", number))
+                ticket._mark_committed(True)
+                tickets.append(ticket)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (after - before) / count < 300

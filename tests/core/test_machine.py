@@ -43,22 +43,6 @@ class TestQueues:
             model.enqueue_pending(entry)
         assert [e.key.op_number for e in model.take_pending()] == [1, 2, 3]
 
-    def test_find_pending(self):
-        model = MachineModel("m01")
-        op = PrimitiveOp("c1", "increment", (5,))
-        entry = make_entry(model, op)
-        model.enqueue_pending(entry)
-        assert model.find_pending(entry.key) is entry
-        assert model.find_pending(OpKey("m01", 99)) is None
-
-    def test_find_pending_cleared_by_take(self):
-        model = MachineModel("m01")
-        op = PrimitiveOp("c1", "increment", (5,))
-        entry = make_entry(model, op)
-        model.enqueue_pending(entry)
-        model.take_pending()
-        assert model.find_pending(entry.key) is None
-
     def test_requeue_front_restores_order_and_index(self):
         model = MachineModel("m01")
         op = PrimitiveOp("c1", "increment", (5,))
@@ -71,16 +55,16 @@ class TestQueues:
         # flush overflow puts the untaken tail back at the head of P
         model.requeue_pending_front(taken[1:])
         assert [e.key.op_number for e in model.pending] == [2, 3, 4]
-        for entry in [*taken[1:], late]:
-            assert model.find_pending(entry.key) is entry
-        assert model.find_pending(taken[0].key) is None
+        assert model.pending == [*taken[1:], late]
 
     def test_completed_bookkeeping(self):
         model = MachineModel("m01")
         op = PrimitiveOp("c1", "increment", (5,))
-        model.record_completed(CompletedEntry(OpKey("m02", 1), op, True, 1.0))
-        assert model.completed_count == 1
-        assert model.completed_keys() == [OpKey("m02", 1)]
+        model.committed.create("c1", Counter, None)
+        assert model.commit(OpKey("m02", 1), op, 1.0) is True
+        assert model.completed == [CompletedEntry(OpKey("m02", 1), op, True, 1.0)]
+        assert model.committed.get("c1").value == 1
+        assert model.op_high_water == {"m02": 1}
 
 
 class TestConvergenceInvariant:

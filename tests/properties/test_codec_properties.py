@@ -93,9 +93,6 @@ MESSAGE_STRATEGIES = {
         messages.ParticipantRemoved, round_ids, machine_ids, st.booleans()
     ),
     "Restart": st.builds(messages.Restart, machine_ids),
-    "OpMessage": st.builds(
-        messages.OpMessage, round_ids, machine_ids, op_numbers, payloads
-    ),
     "OpBatch": st.builds(
         messages.OpBatch,
         round_ids,

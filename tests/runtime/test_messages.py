@@ -27,9 +27,10 @@ class TestImmutability:
         assert dict(begin.counts) == {"m01": 2, "m02": 0}
 
     def test_op_message_carries_the_paper_triple(self):
+        """The operations channel's one frame: (machineID, opnumber, op)."""
         payload = {"kind": "primitive", "object": "x", "method": "f", "args": []}
-        op = msg.OpMessage(4, "m03", 7, payload)
-        assert (op.machine_id, op.op_number, op.payload) == ("m03", 7, payload)
+        batch = msg.OpBatch(4, "m03", 0, 1, ((7, payload),))
+        assert (batch.machine_id, *batch.ops[0]) == ("m03", 7, payload)
 
     def test_welcome_equality_ignores_nothing(self):
         a = msg.Welcome("m04", "m01", {"x": ("T", {})}, 3)

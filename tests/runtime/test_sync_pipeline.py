@@ -158,7 +158,6 @@ class TestOpBatching:
         assert system.metrics.node_metrics["m02"].op_batches_sent >= 5
         payloads = system.meshes.operations.stats.payload_counts
         assert payloads.get("OpBatch", 0) >= 5
-        assert payloads.get("OpMessage", 0) == 0  # batching owns the mesh
         system.check_all_invariants()
 
     @BOTH_MODES

@@ -8,17 +8,22 @@ keeping an identical completed sequence ``C`` — something the plain
 snapshot join cannot do (it discards local history).
 """
 
+import dataclasses
 import os
 
 from repro.net.faults import CommitCrashPlan, ScheduledFaults
 from tests.helpers import quick_system, shared_counter
 
 
-def aligned_completed(node):
+def completed_sequence(model):
     return [
         (entry.key.machine_id, entry.key.op_number, entry.result)
-        for entry in node.model.completed
+        for entry in model.completed
     ]
+
+
+def aligned_completed(node):
+    return completed_sequence(node.model)
 
 
 def issue_increment(system, machine_id, replicas, delay):
@@ -188,6 +193,106 @@ class TestCrashRecoveryMemory:
         assert m03.metrics.crash_recoveries == 2
         assert aligned_completed(m03) == aligned_completed(system.node("m01"))
         system.check_all_invariants()
+
+
+class TestOneStreamFourRoutes:
+    """One committed stream reaches a replica four ways — a live round,
+    WAL recovery, a delta Welcome while joining, a superseding Welcome
+    while active — and every route commits through the model's one
+    ``commit`` step: same ``sc``, same ``(machine, op number, result)``
+    sequence, results computed by the replay rather than copied from
+    the log."""
+
+    def build(self):
+        system = quick_system(
+            4, stall_timeout=2.0, durability="memory", tracing=True
+        )
+        replicas, uid = shared_counter(system)
+        return system, replicas
+
+    def burst(self, system, replicas, limit, times):
+        """m01 and m02 race increments up to ``limit``: the losers
+        commit with a False result, so the stream carries both."""
+        for machine_id in ("m01", "m02"):
+            for _ in range(times):
+                system.api(machine_id).invoke(
+                    replicas[machine_id], "increment", limit
+                )
+        system.run_until_quiesced()
+
+    def committed_stream(self):
+        """Two bursts; m03 (still active) and m04 (halted) sit out the
+        second one.  Returns the system and the global position the two
+        stragglers hold."""
+        system, replicas = self.build()
+        self.burst(system, replicas, limit=3, times=2)
+        master = system.master_node.master
+        held = system.node("m03").model.completed_count
+        for straggler in ("m03", "m04"):
+            master.participants.remove(straggler)
+        system.node("m04").halt()
+        self.burst(system, replicas, limit=6, times=3)
+        reference = aligned_completed(system.node("m01"))
+        assert len(reference) > held
+        assert {result for _, _, result in reference} == {True, False}
+        assert aligned_completed(system.node("m03")) == reference[:held]
+        return system, held
+
+    def actions(self, system, machine_id, kind):
+        return [
+            event.detail.get("action")
+            for event in system.tracer.events
+            if event.machine_id == machine_id and event.kind == kind
+        ]
+
+    def test_every_route_commits_the_same_sequence(self):
+        system, held = self.committed_stream()
+        m01, m02, m03, m04 = (system.node(f"m0{i}") for i in range(1, 5))
+        master = system.master_node.master
+
+        # WAL recovery.
+        rebuilt = m02._rebuild_from_storage(m02.storage.recover())
+
+        # Delta Welcome to a joining node.
+        m04.recover_and_rejoin()
+        system.run_for(5.0)
+        assert m04.state == "active"
+        assert "catch_up" in self.actions(system, "m04", "storage")
+
+        # Superseding Welcome to an active node that fell behind.
+        master.recovered_counts["m03"] = held
+        m03.load_welcome(master._build_welcome("m03"))
+        assert "catch_up_welcome" in self.actions(system, "m03", "membership")
+
+        reference = aligned_completed(m01)
+        for route, model in (
+            ("live round", m02.model),
+            ("WAL recovery", rebuilt),
+            ("delta Welcome", m04.model),
+            ("superseding Welcome", m03.model),
+        ):
+            assert model.committed.state_equal(m01.model.committed), route
+            assert completed_sequence(model) == reference, route
+
+    def test_replay_records_the_result_it_computed(self):
+        """A WAL record whose logged result was flipped rebuilds with
+        the result deterministic replay produces."""
+        system, _held = self.committed_stream()
+        m01, m02 = system.node("m01"), system.node("m02")
+        recovered = m02.storage.recover()
+        recovered.commits = [
+            dataclasses.replace(
+                commit,
+                entries=tuple(
+                    (machine, number, payload, not result, at)
+                    for machine, number, payload, result, at in commit.entries
+                ),
+            )
+            for commit in recovered.commits
+        ]
+        rebuilt = m02._rebuild_from_storage(recovered)
+        assert rebuilt.committed.state_equal(m01.model.committed)
+        assert completed_sequence(rebuilt) == aligned_completed(m01)
 
 
 class TestCrashRecoveryDisk:

@@ -58,7 +58,9 @@ class TestRoundTrips:
         assert decode_line(encode_line(original)) == original
 
     def test_op_message_payload_dict(self):
-        original = msg.OpMessage(2, "m01", 5, {"kind": "atomic", "children": []})
+        original = msg.OpBatch(
+            2, "m01", 0, 1, ((5, {"kind": "atomic", "children": []}),)
+        )
         assert decode_line(encode_line(original)) == original
 
 
@@ -81,7 +83,7 @@ class TestRegistry:
             "StartSync", "YourTurn", "FlushDone", "BeginApply", "ApplyAck",
             "ResendOpsRequest", "SyncComplete", "Hello", "Welcome",
             "WelcomeAck", "Goodbye", "ParticipantRemoved", "Restart",
-            "OpMessage", "CommitRecord",
+            "OpBatch", "CommitRecord",
         ):
             assert name in registered
 

@@ -51,13 +51,20 @@ payloads = st.one_of(
         parallel=st.booleans(),
     ),
     st.builds(
-        msg.OpMessage,
+        msg.OpBatch,
         round_id=st.integers(0, 10**6),
         machine_id=machine_ids,
-        op_number=st.integers(0, 10**6),
-        payload=st.dictionaries(
-            st.text(max_size=8), st.integers(-100, 100), max_size=4
-        ),
+        seq=st.integers(0, 100),
+        total=st.integers(1, 100),
+        ops=st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.dictionaries(
+                    st.text(max_size=8), st.integers(-100, 100), max_size=4
+                ),
+            ),
+            max_size=3,
+        ).map(tuple),
     ),
 )
 

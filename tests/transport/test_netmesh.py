@@ -80,7 +80,7 @@ class TestDelivery:
                 await wait_for(lambda: a.links["b"].connected)
                 pair_a.signals.broadcast("a", msg.Hello("a"))
                 pair_a.operations.broadcast(
-                    "a", msg.OpMessage(1, "a", 1, {"x": 1})
+                    "a", msg.OpBatch(1, "a", 0, 1, ((1, {"x": 1}),))
                 )
                 await wait_for(lambda: signals and operations)
                 assert signals[0].channel == "signals"
