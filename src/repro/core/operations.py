@@ -18,6 +18,7 @@ most one succeed.  Both nest arbitrarily.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
@@ -45,6 +46,7 @@ class SharedOp:
     """Base class of the operation tree."""
 
     kind = "shared"
+    __slots__ = ()
 
     def execute(self, view: StateView) -> bool:
         """Run the operation against ``view``; return success."""
@@ -72,6 +74,7 @@ class PrimitiveOp(SharedOp):
     """
 
     kind = "primitive"
+    __slots__ = ("object_id", "method_name", "args")
 
     def __init__(self, object_id: str, method_name: str, args: Sequence[Any] = ()):
         if not object_id:
@@ -80,8 +83,11 @@ class PrimitiveOp(SharedOp):
             raise OperationError(
                 f"method name {method_name!r} is not a public shared method"
             )
-        self.object_id = object_id
-        self.method_name = method_name
+        # ``model.completed`` keeps every committed op on every replica,
+        # each decoded from its own JSON: interning leaves one copy of the
+        # two strings all operations on an object share.
+        self.object_id = sys.intern(object_id)
+        self.method_name = sys.intern(method_name)
         self.args = tuple(args)
 
     def execute(self, view: StateView) -> bool:
@@ -112,6 +118,7 @@ class AtomicOp(SharedOp):
     """All-or-nothing composition: every child succeeds or none apply."""
 
     kind = "atomic"
+    __slots__ = ("children",)
 
     def __init__(self, children: Sequence[SharedOp]):
         children = list(children)
@@ -156,6 +163,7 @@ class OrElseOp(SharedOp):
     """
 
     kind = "orelse"
+    __slots__ = ("first", "second")
 
     def __init__(self, first: SharedOp, second: SharedOp):
         if not isinstance(first, SharedOp) or not isinstance(second, SharedOp):
@@ -202,6 +210,7 @@ class CreateObjectOp(SharedOp):
     """
 
     kind = "create"
+    __slots__ = ("object_id", "cls", "init_state")
 
     def __init__(self, object_id: str, cls: type, init_state: dict | None = None):
         if not (isinstance(cls, type) and issubclass(cls, GSharedObject)):

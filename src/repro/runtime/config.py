@@ -78,9 +78,12 @@ class RuntimeConfig:
     #: before broadcasting a resend request.
     missing_ops_timeout: float = 1.0
 
-    #: CPU cost model (virtual seconds).  These give the flush/update
-    #: windows real width on the event loop so the "no issuing inside a
-    #: window" rule is actually exercised.
+    #: CPU cost model, in *virtual* seconds: charged by the simulator's
+    #: ``EventLoop`` only (``Scheduler.after_work``), where they give the
+    #: flush/update windows width so the "no issuing inside a window"
+    #: rule is actually exercised, and where Fig 5/6/7 are calibrated on
+    #: them.  A wall-clock scheduler never sleeps them: there a window
+    #: is as wide as the work done inside it and closes on the next tick.
     flush_cpu_base: float = 0.0005
     flush_cpu_per_op: float = 0.0002
     apply_cpu_base: float = 0.0005

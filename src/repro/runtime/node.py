@@ -542,10 +542,13 @@ class GuesstimateNode(Host):
         pending = self._deferred
         self._deferred = []
         now = self.scheduler.now()
-        for deferred_at, fn in pending:
+        for index, (deferred_at, fn) in enumerate(pending):
             self.metrics.deferral_delay_total += now - deferred_at
             fn()
-            if self.active_window() is not None:  # pragma: no cover - defensive
+            if self.active_window() is not None:
+                # The thunk re-opened a window: the rest wait for it to
+                # close, ahead of anything deferred in the meantime.
+                self._deferred[:0] = pending[index + 1 :]
                 break
 
     # -- mesh handlers -------------------------------------------------------------------

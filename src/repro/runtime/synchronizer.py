@@ -285,7 +285,7 @@ class Synchronizer:
                 msg.FlushDone(round_state.round_id, node.machine_id, round_state.flush_count)
             )
 
-        node.scheduler.call_later(node.config.flush_cpu(len(entries)), end_flush)
+        node.scheduler.after_work(node.config.flush_cpu(len(entries)), end_flush)
         self._try_apply(round_state)
 
     def _broadcast_batches(
@@ -502,7 +502,7 @@ class Synchronizer:
             node.broadcast_signal(msg.ApplyAck(round_state.round_id, node.machine_id))
             self._update_guess(round_state, remote_touched)
 
-        node.scheduler.call_later(node.config.apply_cpu(len(decoded)), ack_and_update)
+        node.scheduler.after_work(node.config.apply_cpu(len(decoded)), ack_and_update)
         # A pipelined later round may already be fully collected.
         self._nudge_later_rounds(round_state.round_id)
 
@@ -562,7 +562,7 @@ class Synchronizer:
         def end_update() -> None:
             node.exit_window("update")
 
-        node.scheduler.call_later(
+        node.scheduler.after_work(
             node.config.update_cpu(len(node.model.pending)), end_update
         )
 

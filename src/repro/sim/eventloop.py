@@ -71,6 +71,10 @@ class EventLoop(Scheduler):
         event = self.schedule(delay, callback)
         return CancelHandle(event.cancel)
 
+    def after_work(self, modelled: float, callback: Callable[[], None]) -> CancelHandle:
+        """Virtual time stands still while Python runs: charge the model."""
+        return self.call_later(modelled, callback)
+
     # -- scheduling ----------------------------------------------------------
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:

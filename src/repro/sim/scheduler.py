@@ -49,6 +49,18 @@ class Scheduler(ABC):
         """Run ``callback`` as soon as possible (delay 0)."""
         return self.call_later(0.0, callback)
 
+    def after_work(self, modelled: float, callback: Callable[[], None]) -> CancelHandle:
+        """Run ``callback`` once ``modelled`` seconds of CPU work are paid for.
+
+        The caller has just *done* the work the cost model prices.  On a
+        wall clock that already took its time, so the callback runs on
+        the next tick — never synchronously: whatever the caller does
+        after this call still precedes it, the order the virtual clock
+        gives.  :class:`~repro.sim.eventloop.EventLoop`, whose clock
+        does not move while Python runs, charges ``modelled`` instead.
+        """
+        return self.call_soon(callback)
+
 
 class RealTimeScheduler(Scheduler):
     """Wall-clock scheduler backed by a single timer thread.

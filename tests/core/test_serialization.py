@@ -1,5 +1,7 @@
 """Wire-format tests: op and state encoding."""
 
+import json
+
 import pytest
 
 from repro.core.operations import AtomicOp, CreateObjectOp, OrElseOp, PrimitiveOp
@@ -94,6 +96,30 @@ class TestOpEncoding:
         assert isinstance(back, CreateObjectOp)
         assert back.cls is Counter
         assert back.init_state == {"value": 4}
+
+    def test_ops_decoded_from_separate_frames_share_their_names(self):
+        # Each replica decodes each committed op from its own JSON and
+        # ``model.completed`` keeps it: the strings every operation on
+        # an object repeats must be one object, not one per op per node.
+        op = PrimitiveOp("obj-7f3a", "increment", (5,))
+        a, b = (
+            decode_op(json.loads(json.dumps(encode_op(op)))) for _ in range(2)
+        )
+        assert a is not b
+        assert a.object_id is b.object_id is op.object_id
+        assert a.method_name is b.method_name is op.method_name
+        assert encode_op(a) == encode_op(b) == encode_op(op)
+        assert a.args == b.args == (5,)
+
+    def test_operations_carry_no_instance_dict(self):
+        leaf = PrimitiveOp("c1", "increment", (1,))
+        for op in (
+            leaf,
+            AtomicOp([leaf]),
+            OrElseOp(leaf, leaf),
+            CreateObjectOp("c9", Counter, None),
+        ):
+            assert not hasattr(op, "__dict__")
 
     def test_unserializable_args_rejected(self):
         op = PrimitiveOp("c1", "increment", (lambda: 1,))

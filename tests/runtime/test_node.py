@@ -29,6 +29,25 @@ class TestWindows:
         node.exit_window("flush")
         assert ran == [1, 2]
 
+    def test_thunk_reopening_a_window_keeps_the_rest_for_the_next_close(self):
+        system = quick_system(2)
+        node = system.node("m01")
+        ran = []
+
+        def reopen():
+            ran.append(1)
+            node.enter_window("update")
+            node.defer(lambda: ran.append(4))  # deferred meanwhile: goes last
+
+        node.enter_window("flush")
+        node.defer(reopen)
+        node.defer(lambda: ran.append(2))
+        node.defer(lambda: ran.append(3))
+        node.exit_window("flush")
+        assert ran == [1]  # the window is open again: nothing may issue
+        node.exit_window("update")
+        assert ran == [1, 2, 3, 4]
+
     def test_deferral_delay_metered(self):
         system = quick_system(2)
         node = system.node("m01")

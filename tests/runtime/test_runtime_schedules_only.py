@@ -42,3 +42,27 @@ def test_runtime_stamps_by_hand_only_for_the_snapshot_copy():
     """``_load_welcome_snapshot`` writes through ``copy_from``, which no
     operation describes; that re-stamp is the one ``mark_dirty`` left."""
     assert called_names()["mark_dirty"] <= 1
+
+
+COST_MODEL = ("flush_cpu", "apply_cpu", "update_cpu")
+
+
+def test_modelled_cpu_is_charged_through_after_work_only():
+    """``call_later(config.apply_cpu(n), …)`` sleeps the simulator's cost
+    model for real on a wall-clock scheduler; ``after_work`` lets the
+    scheduler decide.  Every mention of the model under runtime/ is an
+    argument of an ``after_work`` call."""
+    mentions = charged = 0
+    for path in sorted(RUNTIME_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in COST_MODEL:
+                mentions += 1
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            hits = sum(f".{name}(" in ast.unparse(node) for name in COST_MODEL)
+            if node.func.attr == "call_later":
+                assert hits == 0, f"{path.name}:{node.lineno} sleeps the cost model"
+            elif node.func.attr == "after_work":
+                charged += hits
+    assert charged >= 1  # the walk does see the three sites
+    assert mentions == charged

@@ -1,11 +1,15 @@
-"""RealTimeScheduler tests (kept fast: tiny delays)."""
+"""RealTimeScheduler tests (kept fast: tiny delays), and ``after_work``
+on all three schedulers."""
 
+import asyncio
 import threading
 import time
 
 import pytest
 
+from repro.sim.eventloop import EventLoop
 from repro.sim.scheduler import RealTimeScheduler
+from repro.transport.scheduler import AsyncioScheduler
 
 
 class TestRealTimeScheduler:
@@ -72,4 +76,64 @@ class TestRealTimeScheduler:
         scheduler = RealTimeScheduler()
         with pytest.raises(ValueError):
             scheduler.call_later(-1.0, lambda: None)
+        scheduler.close()
+
+
+class TestAfterWork:
+    """Modelled CPU is charged where the clock is virtual, and only there."""
+
+    def test_event_loop_charges_the_model_exactly_like_call_later(self):
+        popped = {}
+        for name in ("call_later", "after_work"):
+            loop = EventLoop()
+            loop.call_later(1.0, lambda: None)  # same history on both loops
+            loop.run_until(1.5)
+            fired = []
+            events = []
+            loop.observer = lambda event: events.append((event.when, event.seq))
+            getattr(loop, name)(0.25, lambda: fired.append(loop.now()))
+            loop.run()
+            assert fired == [1.75]
+            popped[name] = events
+        assert popped["after_work"] == popped["call_later"]
+        assert len(popped["after_work"]) == 1
+
+    def test_asyncio_scheduler_runs_it_on_the_next_tick(self):
+        async def main():
+            scheduler = AsyncioScheduler(asyncio.get_running_loop())
+            order = []
+            done = asyncio.Event()
+
+            def callback():
+                order.append("callback")
+                done.set()
+
+            started = time.monotonic()
+            scheduler.after_work(5.0, callback)
+            order.append("caller")  # what follows the call still precedes it
+            await asyncio.wait_for(done.wait(), timeout=2.0)
+            assert order == ["caller", "callback"]
+            assert time.monotonic() - started < 0.5
+            assert scheduler.errors == []
+
+        asyncio.run(main())
+
+    def test_real_time_scheduler_runs_it_after_the_caller(self):
+        scheduler = RealTimeScheduler()
+        order = []
+        done = threading.Event()
+
+        def callback():
+            order.append("callback")
+            done.set()
+
+        def caller():
+            scheduler.after_work(5.0, callback)
+            order.append("caller")
+
+        started = time.monotonic()
+        scheduler.run_locked(caller)  # callbacks hold this lock: as if in one
+        assert done.wait(timeout=2.0)
+        assert order == ["caller", "callback"]
+        assert time.monotonic() - started < 0.5
         scheduler.close()
