@@ -1,8 +1,8 @@
 """Benchmark-suite configuration.
 
-Each figure benchmark runs its experiment once (rounds=1) under
-pytest-benchmark — the interesting output is the paper-style report it
-prints, plus shape assertions that fail if the reproduction drifts.
+Each figure benchmark runs its experiment once at the paper's full
+size — the interesting output is the paper-style report it prints,
+plus shape assertions that fail if the reproduction drifts.
 """
 
 import sys

@@ -30,13 +30,9 @@ def _mean_sync(latency, users=6, duration=120.0, sync_interval=1.0):
     return mean_excluding(outcome.sync_durations, 12.0), outcome
 
 
-def test_ablation_latency_dominates(benchmark, report):
-    def run_ablation():
-        base, _ = _mean_sync(lan_profile(1.0))
-        doubled, _ = _mean_sync(lan_profile(2.0))
-        return base, doubled
-
-    base, doubled = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def test_ablation_latency_dominates(report):
+    base, _ = _mean_sync(lan_profile(1.0))
+    doubled, _ = _mean_sync(lan_profile(2.0))
     report(
         "Ablation — latency dominates sync time\n"
         f"  1x LAN profile: {base * 1000:.1f} ms mean sync\n"
@@ -46,15 +42,11 @@ def test_ablation_latency_dominates(benchmark, report):
     assert 1.6 < doubled / base < 2.4
 
 
-def test_ablation_zero_latency_flattens_user_scaling(benchmark, report):
-    def run_ablation():
-        means = {}
-        for users in (2, 8):
-            mean, _ = _mean_sync(ConstantLatency(0.0), users=users, duration=60.0)
-            means[users] = mean
-        return means
-
-    means = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def test_ablation_zero_latency_flattens_user_scaling(report):
+    means = {}
+    for users in (2, 8):
+        mean, _ = _mean_sync(ConstantLatency(0.0), users=users, duration=60.0)
+        means[users] = mean
     report(
         "Ablation — without network delay the per-user term vanishes\n"
         f"  2 users: {means[2] * 1000:.2f} ms   8 users: {means[8] * 1000:.2f} ms\n"
@@ -65,29 +57,25 @@ def test_ablation_zero_latency_flattens_user_scaling(benchmark, report):
     assert means[8] - means[2] < 0.02
 
 
-def test_ablation_sync_interval_vs_commit_lag(benchmark, report):
-    def run_ablation():
-        rows = []
-        for interval in (0.25, 1.0, 4.0):
-            outcome = run_sudoku_session(
-                SessionConfig(
-                    users=4,
-                    duration=240.0,
-                    seed=77,
-                    activity=ActivityModel.busy(2.0),
-                    runtime=RuntimeConfig(sync_interval=interval),
-                )
+def test_ablation_sync_interval_vs_commit_lag(report):
+    rows = []
+    for interval in (0.25, 1.0, 4.0):
+        outcome = run_sudoku_session(
+            SessionConfig(
+                users=4,
+                duration=240.0,
+                seed=77,
+                activity=ActivityModel.busy(2.0),
+                runtime=RuntimeConfig(sync_interval=interval),
             )
-            lags = [
-                metrics.mean_commit_latency
-                for metrics in outcome.system.metrics.node_metrics.values()
-                if metrics.commit_latency_count
-            ]
-            mean_lag = sum(lags) / len(lags)
-            rows.append((interval, mean_lag, len(outcome.sync_durations)))
-        return rows
-
-    rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+        )
+        lags = [
+            metrics.mean_commit_latency
+            for metrics in outcome.system.metrics.node_metrics.values()
+            if metrics.commit_latency_count
+        ]
+        mean_lag = sum(lags) / len(lags)
+        rows.append((interval, mean_lag, len(outcome.sync_durations)))
     lines = ["Ablation — sync interval trades commit lag for round count"]
     for interval, lag, rounds in rows:
         lines.append(

@@ -8,8 +8,8 @@ that every application is small relative to the runtime beneath it.
 from repro.evalkit.experiments import appsizes
 
 
-def test_app_sizes(benchmark, report):
-    result = benchmark.pedantic(appsizes.run, rounds=1, iterations=1)
+def test_app_sizes(report):
+    result = appsizes.run()
     report(appsizes.format_report(result))
 
     assert len(result.rows) == 7

@@ -19,13 +19,9 @@ WAL_LENGTHS = [8, 32, 128]
 SNAPSHOT_INTERVAL = 8
 
 
-def test_recovery_scales_with_wal_length(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: durability.run(
-            wal_lengths=WAL_LENGTHS, snapshot_interval=SNAPSHOT_INTERVAL, seed=7
-        ),
-        rounds=1,
-        iterations=1,
+def test_recovery_scales_with_wal_length(report):
+    result = durability.run(
+        wal_lengths=WAL_LENGTHS, snapshot_interval=SNAPSHOT_INTERVAL, seed=7
     )
     report(durability.format_report(result))
 
@@ -60,20 +56,16 @@ def test_recovery_scales_with_wal_length(benchmark, report):
     assert bounded < unbounded
 
 
-def test_disk_recovery_with_fsync_always(benchmark, report):
+def test_disk_recovery_with_fsync_always(report):
     """The real-files path: every append fsynced, snapshots compacting."""
-
-    def run():
-        with tempfile.TemporaryDirectory() as data_dir:
-            return durability.run(
-                wal_lengths=[16],
-                snapshot_interval=4,
-                seed=7,
-                data_dir=data_dir,
-                fsync_policy="always",
-            )
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    with tempfile.TemporaryDirectory() as data_dir:
+        result = durability.run(
+            wal_lengths=[16],
+            snapshot_interval=4,
+            seed=7,
+            data_dir=data_dir,
+            fsync_policy="always",
+        )
     report(durability.format_report(result))
 
     assert all(p.converged for p in result.points)

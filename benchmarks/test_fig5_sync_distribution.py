@@ -7,12 +7,8 @@ Paper: most synchronizations within 0.5 s; exactly 2 outliers above
 from repro.evalkit.experiments import fig5
 
 
-def test_fig5_distribution(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: fig5.run(users=8, duration=3600.0, seed=42),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig5_distribution(report):
+    result = fig5.run(users=8, duration=3600.0, seed=42)
     report(fig5.format_report(result))
 
     # Shape assertions (the paper's claims).

@@ -8,12 +8,8 @@ from repro.evalkit.experiments import fig6
 from repro.evalkit.stats import linear_fit
 
 
-def test_fig6_scaling(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: fig6.run(user_counts=list(range(2, 9)), duration=300.0),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig6_scaling(report):
+    result = fig6.run(user_counts=list(range(2, 9)), duration=300.0)
     report(fig6.format_report(result))
 
     # Monotone growth, roughly linear.

@@ -7,12 +7,8 @@ Paper: adding one user per 100 synchronizations from 2 to 8, conflicts
 from repro.evalkit.experiments import fig7
 
 
-def test_fig7_conflicts(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: fig7.run(start_users=2, max_users=8, rounds_per_window=100),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig7_conflicts(report):
+    result = fig7.run(start_users=2, max_users=8, rounds_per_window=100)
     report(fig7.format_report(result))
 
     assert result.user_counts == list(range(2, 9))

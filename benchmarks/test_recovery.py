@@ -8,12 +8,8 @@ users noticing.
 from repro.evalkit.experiments import recovery
 
 
-def test_recovery_hour(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: recovery.run(duration=3600.0, users=8, seed=13),
-        rounds=1,
-        iterations=1,
-    )
+def test_recovery_hour(report):
+    result = recovery.run(duration=3600.0, users=8, seed=13)
     report(recovery.format_report(result))
 
     assert result.failures_injected == 3

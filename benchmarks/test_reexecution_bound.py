@@ -8,12 +8,8 @@ tBeginUpdate — never more.
 from repro.evalkit.experiments import reexec
 
 
-def test_reexecution_bound(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: reexec.run(duration=900.0, users=6, seed=3),
-        rounds=1,
-        iterations=1,
-    )
+def test_reexecution_bound(report):
+    result = reexec.run(duration=900.0, users=6, seed=3)
     report(reexec.format_report(result))
 
     assert result.total_ops > 500

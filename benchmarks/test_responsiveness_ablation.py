@@ -9,12 +9,8 @@ conflicts through completions.
 from repro.evalkit.experiments import responsiveness
 
 
-def test_responsiveness_ablation(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: responsiveness.run(users=5, n_ops=300, seed=17),
-        rounds=1,
-        iterations=1,
-    )
+def test_responsiveness_ablation(report):
+    result = responsiveness.run(users=5, n_ops=300, seed=17)
     report(responsiveness.format_report(result))
 
     guesstimate = result.row("guesstimate")

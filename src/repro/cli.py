@@ -20,149 +20,7 @@ import argparse
 import sys
 import time
 
-from repro.evalkit.experiments import (
-    appsizes,
-    durability,
-    fig5,
-    fig6,
-    fig7,
-    recovery,
-    reexec,
-    refreshbench,
-    responsiveness,
-    roundprof,
-    scaling,
-    specreport,
-    syncscale,
-    zoo,
-)
-
-
-def _run_syncscale(quick: bool) -> str:
-    result = syncscale.run(
-        machine_counts=[2, 4, 8] if quick else [2, 4, 8, 16],
-        duration=15.0 if quick else 30.0,
-    )
-    path = syncscale.write_bench_json(result)
-    return f"{syncscale.format_report(result)}\n\n  wrote {path}"
-
-def _run_zoo(quick: bool) -> str:
-    result = zoo.run(
-        seeds_per_workload=1 if quick else 3,
-        duration=20.0 if quick else 45.0,
-    )
-    path = zoo.write_bench_json(result)
-    report = f"{zoo.format_report(result)}\n\n  wrote {path}"
-    if not result.clean:
-        # The zoo doubles as a convergence gate: CI runs this command
-        # directly, so probe violations must fail the process.
-        raise SystemExit(f"zoo: probe violations\n{report}")
-    return report
-
-
-def _run_roundprof(quick: bool) -> str:
-    result = roundprof.run(
-        machines=4 if quick else 8,
-        duration=10.0 if quick else 20.0,
-        micro_repeats=500 if quick else 2000,
-    )
-    path = roundprof.write_bench_json(result)
-    return f"{roundprof.format_report(result)}\n\n  wrote {path}"
-
-
-def _run_refresh(quick: bool) -> str:
-    result = refreshbench.run(
-        objects=400 if quick else 2000,
-        duration=12.0 if quick else 30.0,
-    )
-    path = refreshbench.write_bench_json(result)
-    return f"{refreshbench.format_report(result)}\n\n  wrote {path}"
-
-
-#: name -> (runner taking quick: bool, description)
-EXPERIMENTS = {
-    "fig5": (
-        lambda quick: fig5.format_report(
-            fig5.run(duration=600.0 if quick else 3600.0)
-        ),
-        "Figure 5: distribution of synchronization times (8 users, 1 h)",
-    ),
-    "fig6": (
-        lambda quick: fig6.format_report(
-            fig6.run(duration=120.0 if quick else 300.0)
-        ),
-        "Figure 6: average sync time vs number of users",
-    ),
-    "fig7": (
-        lambda quick: fig7.format_report(
-            fig7.run(rounds_per_window=50 if quick else 100)
-        ),
-        "Figure 7: conflicts vs number of users",
-    ),
-    "recovery": (
-        lambda quick: recovery.format_report(
-            recovery.run(duration=900.0 if quick else 3600.0)
-        ),
-        "Section 7: failure and automatic recovery",
-    ),
-    "reexec": (
-        lambda quick: reexec.format_report(
-            reexec.run(duration=300.0 if quick else 900.0)
-        ),
-        "Section 4: operations execute at most three times",
-    ),
-    "responsiveness": (
-        lambda quick: responsiveness.format_report(
-            responsiveness.run(n_ops=150 if quick else 300)
-        ),
-        "Sections 1/8: ablation vs one-copy serializability and replicas",
-    ),
-    "specreport": (
-        lambda quick: specreport.format_report(
-            specreport.run(budget=200 if quick else 600)
-        ),
-        "Section 6: Spec#-style assertion classification",
-    ),
-    "appsizes": (
-        lambda quick: appsizes.format_report(appsizes.run()),
-        "Section 6: application lines of code",
-    ),
-    "scaling": (
-        lambda quick: scaling.format_report(
-            scaling.run(
-                user_counts=[2, 4, 8] if quick else [2, 4, 8, 16, 32],
-                duration=30.0 if quick else 60.0,
-            )
-        ),
-        "Sections 7/9: serial scaling wall vs the parallel-flush extension",
-    ),
-    "syncscale": (
-        _run_syncscale,
-        "Sync pipeline: round latency and commit throughput, "
-        "sequential vs concurrent+batched collection (BENCH_sync.json)",
-    ),
-    "roundprof": (
-        _run_roundprof,
-        "Phase-attributed round profiler: encode/transport/apply/refresh "
-        "wall time + hot-path microbenchmarks (BENCH_phases.json)",
-    ),
-    "durability": (
-        lambda quick: durability.format_report(
-            durability.run(wal_lengths=[4, 16] if quick else [8, 32, 128])
-        ),
-        "Storage subsystem: crash-recovery cost vs WAL length and snapshots",
-    ),
-    "refresh": (
-        _run_refresh,
-        "Versioned stores: objects copied per guess refresh, "
-        "delta vs full copy (BENCH_refresh.json)",
-    ),
-    "zoo": (
-        _run_zoo,
-        "Workload zoo: per-workload conflict/override/completion "
-        "profile under the full probe set (BENCH_workloads.json)",
-    ),
-}
+from repro.evalkit.experiments import EXPERIMENTS, run_experiment, zoo
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -214,19 +72,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.data_dir is not None or args.fsync != "interval":
-        # Durability knobs reparameterize that one experiment.
-        EXPERIMENTS["durability"] = (
-            lambda quick: durability.format_report(
-                durability.run(
-                    wal_lengths=[4, 16] if quick else [8, 32, 128],
-                    data_dir=args.data_dir,
-                    fsync_policy=args.fsync,
-                )
-            ),
-            EXPERIMENTS["durability"][1],
-        )
-
     if args.experiment == "report":
         from pathlib import Path
 
@@ -244,10 +89,23 @@ def main(argv: list[str] | None = None) -> int:
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
-        runner, description = EXPERIMENTS[name]
+        *_, description = EXPERIMENTS[name]
         print(f"== {name}: {description}")
         started = time.time()
-        print(runner(args.quick))
+        # The durability knobs reparameterize that one experiment.
+        overrides = (
+            {"data_dir": args.data_dir, "fsync_policy": args.fsync}
+            if name == "durability"
+            else {}
+        )
+        result, report = run_experiment(name, args.quick, **overrides)
+        print(report)
+        if name == "zoo":
+            print(f"\n  wrote {zoo.write_bench_json(result)}")
+            if not result.clean:
+                # The zoo doubles as a convergence gate: CI runs this
+                # command directly, so probe violations fail the process.
+                raise SystemExit("zoo: probe violations")
         print(f"   [{time.time() - started:.1f}s wall]\n")
     return 0
 

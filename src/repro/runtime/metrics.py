@@ -82,9 +82,6 @@ class NodeMetrics:
     #: with delta refresh this is O(touched), the naive full copy makes
     #: it refresh_rounds * live objects
     refresh_objects_copied: int = 0
-    #: sum over refreshes of the committed store's live object count —
-    #: what the naive full copy would have copied (the A/B denominator)
-    refresh_objects_live: int = 0
     #: wire-op decodes avoided by reusing the in-flight op tree of an
     #: operation this machine issued, vs. decodes actually performed
     decode_cache_hits: int = 0
@@ -146,24 +143,6 @@ class SystemMetrics:
 
     def recovered_rounds(self) -> list[SyncRecord]:
         return [record for record in self.sync_records if record.recovered]
-
-    def mean_sync_duration(self) -> float:
-        durations = self.sync_durations()
-        if not durations:
-            return 0.0
-        return sum(durations) / len(durations)
-
-    def commit_throughput(self) -> float:
-        """Committed operations per virtual second across all recorded
-        rounds (first round start to last round finish)."""
-        if not self.sync_records:
-            return 0.0
-        start = min(r.started_at for r in self.sync_records)
-        end = max(r.finished_at for r in self.sync_records)
-        committed = sum(r.ops_committed for r in self.sync_records)
-        if end <= start:
-            return 0.0
-        return committed / (end - start)
 
     def total_op_batches(self) -> int:
         return sum(m.op_batches_sent for m in self.node_metrics.values())

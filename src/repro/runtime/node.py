@@ -21,7 +21,6 @@ from repro.net.interface import BroadcastChannel, Envelope
 from repro.runtime import messages as msg
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import NodeMetrics, SystemMetrics
-from repro.runtime.profiling import NULL_PROFILER, PhaseProfiler
 from repro.runtime.synchronizer import MasterControl, Synchronizer
 from repro.runtime.tracing import Tracer
 from repro.sim.scheduler import Scheduler
@@ -68,9 +67,6 @@ class GuesstimateNode(Host):
         #: them per message, so the per-access ``node()`` dict lookup
         #: the old property did is off the hot path now
         self.metrics: NodeMetrics = metrics_system.node(machine_id)
-        #: wall-clock phase profiler; NULL_PROFILER (disabled) unless a
-        #: harness attaches a live one (DistributedSystem.attach_profiler)
-        self.profiler: PhaseProfiler = NULL_PROFILER
         self.tracer = tracer if tracer is not None else Tracer(enabled=config.tracing)
 
         self.model = MachineModel(machine_id)

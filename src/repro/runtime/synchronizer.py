@@ -258,16 +258,11 @@ class Synchronizer:
             entries = entries[: node.config.max_ops_per_flush]
             node.model.requeue_pending_front(overflow)
         encoded: list[tuple[int, dict]] = []
-        profiler = node.profiler
-        if profiler.enabled:
-            _t0 = profiler.begin()
         for entry in entries:
             payload = encode_op(entry.op)
             self.in_flight[entry.key] = entry
             round_state.received[entry.key] = payload  # self-delivery
             encoded.append((entry.key.op_number, payload))
-        if profiler.enabled:
-            profiler.end("encode", _t0)
         batches = self._broadcast_batches(round_state.round_id, encoded)
         round_state.flushed = True
         round_state.flush_count = len(entries)
@@ -301,9 +296,6 @@ class Synchronizer:
         node = self.node
         cap = node.config.sync.batch_max_ops
         chunks = [encoded[i : i + cap] for i in range(0, len(encoded), cap)]
-        profiler = node.profiler
-        if profiler.enabled:
-            _t0 = profiler.begin()
         for seq, chunk in enumerate(chunks):
             node.ops_mesh.broadcast(
                 node.machine_id,
@@ -311,8 +303,6 @@ class Synchronizer:
                     round_id, node.machine_id, seq, len(chunks), tuple(chunk)
                 ),
             )
-        if profiler.enabled:
-            profiler.end("transport", _t0)
         return len(chunks)
 
     # -- stage 2: ApplyUpdatesFromMesh -------------------------------------------
@@ -426,9 +416,6 @@ class Synchronizer:
         """Apply the consolidated list in lexicographic (machine, number) order."""
         node = self.node
         assert round_state.counts is not None
-        profiler = node.profiler
-        if profiler.enabled:
-            _t0 = profiler.begin()
         keys = consolidated_order(node, round_state)
         object_ids: set[str] = set()
         decoded = []
@@ -477,8 +464,6 @@ class Synchronizer:
         # what the delta guess-refresh must re-copy.
         self.refresh_backlog |= object_ids
         round_state.applied = True
-        if profiler.enabled:
-            profiler.end("apply", _t0)
         # Write-ahead ordering: the committed round reaches the durable
         # log before this machine acknowledges it, so an acked round is
         # always recoverable after a crash.
@@ -528,15 +513,11 @@ class Synchronizer:
         touched = self.refresh_backlog
         self.refresh_backlog = set()
         node.enter_window("update")
-        profiler = node.profiler
-        if profiler.enabled:
-            _t0 = profiler.begin()
         candidates = model.guess.refresh_candidates(model.committed, touched)
         with node.read_locks.writing(sorted(candidates)):
             copied = model.guess.refresh_delta_from(model.committed, touched)
         node.metrics.refresh_rounds += 1
         node.metrics.refresh_objects_copied += copied
-        node.metrics.refresh_objects_live += len(model.committed)
         node.trace(Tracer.REFRESH, round=round_state.round_id, copied=copied)
         completions = self.pending_completions
         self.pending_completions = []
@@ -548,8 +529,6 @@ class Synchronizer:
                 entry.completion(result)
             node.trace(Tracer.COMPLETION, key=str(entry.key), ok=result)
         node.replay_pending()
-        if profiler.enabled:
-            profiler.end("refresh", _t0)
         if node.config.refresh_oracle and not node.model.check_convergence_invariant():
             from repro.errors import RuntimeFailure
 
@@ -1021,7 +1000,7 @@ class MasterControl:
 
     def _nudge_restarts(self) -> None:
         """Re-send Restart to machines that have not re-entered yet."""
-        for machine_id in list(self.awaiting_restart):
+        for machine_id in sorted(self.awaiting_restart):
             if self.node.signals_mesh.is_member(machine_id):
                 self.node.signals_mesh.send(
                     self.node.machine_id, machine_id, msg.Restart(machine_id)

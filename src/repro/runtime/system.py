@@ -16,7 +16,6 @@ from repro.net.mesh import MeshPair
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import SystemMetrics
 from repro.runtime.node import GuesstimateNode
-from repro.runtime.profiling import NULL_PROFILER, PhaseProfiler
 from repro.runtime.tracing import Tracer
 from repro.sim.eventloop import EventLoop
 from repro.sim.rand import SeededSource
@@ -227,10 +226,6 @@ class DistributedSystem(Cluster):
             rng=self.seeds.stream("net"),
         )
 
-        #: wall-clock phase profiler shared by every node; stays the
-        #: disabled NULL_PROFILER unless attach_profiler() swaps it
-        self.profiler = NULL_PROFILER
-
         self.nodes: dict[str, GuesstimateNode] = {}
         for index in range(n_machines):
             self._build_node(is_master=(index == 0), founding=True)
@@ -253,25 +248,12 @@ class DistributedSystem(Cluster):
             is_master=is_master,
         )
         self.nodes[machine_id] = node
-        node.profiler = self.profiler
         node.start(founding=founding)
         if founding and not is_master:
             # Founding members are participants from round one; late
             # joiners instead go through the Hello/Welcome handshake.
             self.master_node.master.participants.append(machine_id)  # type: ignore[union-attr]
         return node
-
-    def attach_profiler(self, profiler: PhaseProfiler) -> PhaseProfiler:
-        """Attribute every node's hot-path wall time to ``profiler``.
-
-        Applies to current nodes and any machine added later; returns
-        the profiler for chaining.  The ``roundprof`` experiment is the
-        canonical caller.
-        """
-        self.profiler = profiler
-        for node in self.nodes.values():
-            node.profiler = profiler
-        return profiler
 
     def add_machine(self) -> GuesstimateNode:
         """A new machine enters the running system (Hello/Welcome path)."""

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.cli import EXPERIMENTS, main
-from repro.evalkit.reporting import ReportBundle, _fig5_csv, _fig6_csv, _fig7_csv
+from repro.evalkit.reporting import (
+    CSV_EXPORTS,
+    SECTIONS,
+    ReportBundle,
+    _fig5_csv,
+    _fig6_csv,
+    _fig7_csv,
+)
 from repro.evalkit.experiments import fig5, fig6, fig7
 
 
@@ -33,12 +40,13 @@ class TestCli:
             "specreport",
             "appsizes",
             "scaling",
-            "syncscale",
-            "roundprof",
             "durability",
-            "refresh",
             "zoo",
         }
+        # The report bundles every experiment but the zoo, which writes
+        # its own BENCH_workloads.json.
+        assert set(SECTIONS) == set(EXPERIMENTS) - {"zoo"}
+        assert set(CSV_EXPORTS) <= set(SECTIONS)
 
     def test_report_command_writes_files(self, tmp_path, capsys, monkeypatch):
         # Shrink the bundle generator so the test stays fast.

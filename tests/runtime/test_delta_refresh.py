@@ -18,7 +18,7 @@ def _refresh_totals(system):
     nodes = system.metrics.node_metrics.values()
     return (
         sum(m.refresh_objects_copied for m in nodes),
-        sum(m.refresh_objects_live for m in nodes),
+        sum(m.refresh_rounds for m in nodes),
     )
 
 
@@ -33,17 +33,17 @@ class TestDeltaRefreshEndToEnd:
     def test_rounds_copy_touched_not_total(self):
         system = quick_system(n=3, refresh_oracle=True)
         uids = _populate(system, 50)
-        copied_base, _ = _refresh_totals(system)
+        copied_base, refreshes_base = _refresh_totals(system)
         # Each round touches exactly one of the 50 objects.
         for turn in range(6):
             system.api("m02").invoke(uids[turn], "increment", 10**9)
             system.run_until_quiesced()
-        copied, live = _refresh_totals(system)
+        copied, refreshes = _refresh_totals(system)
         workload_copied = copied - copied_base
         assert workload_copied > 0
-        # The naive copy would have moved all 50 objects on all 3
-        # machines every round; the delta moves roughly one.
-        assert workload_copied * 10 < live
+        # The naive copy would have moved all 50 objects on every
+        # refresh of every machine; the delta moves roughly one.
+        assert workload_copied * 10 < len(uids) * (refreshes - refreshes_base)
         system.check_all_invariants()
 
     def test_oracle_accepts_conflict_heavy_workload(self):

@@ -29,7 +29,19 @@ Bug 2 — **stale delta Welcome destroys the durable log** (counters
     healthy while recovery would silently come back empty.  Fixed by
     aligning overlapping backlogs by position and ignoring Welcomes
     that cannot be aligned (the Hello retry loop gets a fresh one).
+
+Bug 3 — **replay depends on ``PYTHONHASHSEED``** (mixed seeds 14, 16,
+    43, 58).
+    ``MasterControl._nudge_restarts`` iterated the ``awaiting_restart``
+    *set*; each ``Restart`` it sends draws a latency from the seeded
+    net stream, so with two machines awaiting restart the string hash
+    order decided which ``Restart`` landed first and the trace digest
+    differed from one process to the next.  Fixed by sorting the set.
 """
+
+import os
+import subprocess
+import sys
 
 from repro.runtime import messages as msg
 from repro.simtest.runner import run_scenario
@@ -182,3 +194,34 @@ class TestOriginalFailingSeeds:
         result = run_scenario(spec, record_trace=False)
         assert result.violations == []
         assert result.actions > 0
+
+
+class TestReplayAcrossHashSeeds:
+    """Bug 3: a seed's trace digest is the same in every process."""
+
+    SCRIPT = (
+        "from repro.simtest.runner import run_scenario\n"
+        "from repro.simtest.scenario import generate_scenario\n"
+        "for seed in (14, 43):\n"
+        "    print(seed, run_scenario(generate_scenario(seed)).trace.digest())\n"
+    )
+
+    def _digests(self, hash_seed: str) -> str:
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": hash_seed,
+            "PYTHONPATH": os.pathsep.join(sys.path),
+        }
+        return subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        ).stdout
+
+    def test_digest_does_not_depend_on_string_hash_order(self):
+        digests = self._digests("0")
+        assert len(digests.splitlines()) == 2
+        assert digests == self._digests("1")
