@@ -1,12 +1,10 @@
 #!/usr/bin/env python
-"""Offline updates + master failover — the section-9 extensions, live.
+"""Offline updates — the section-9 extension, live.
 
 Scene: three coworkers share a message board.  Carol boards a flight
 (goes offline) and keeps drafting posts locally; meanwhile the others
-keep posting — and the machine hosting the master dies outright, so a
-surviving machine promotes itself (master failover) and synchronization
-continues.  When Carol lands and reconnects, her offline posts rebase
-onto the welcomed state and commit, and everyone converges.
+keep posting.  When Carol lands and reconnects, her offline posts
+rebase onto the welcomed state and commit, and everyone converges.
 
 Run:  python examples/offline_collaboration.py
 """
@@ -16,11 +14,7 @@ from repro.apps.message_board import BoardClient, MessageBoard
 
 
 def main() -> None:
-    config = RuntimeConfig(
-        sync_interval=0.5,
-        stall_timeout=2.0,
-        failover_timeout=4.0,  # extension: slaves can take over
-    )
+    config = RuntimeConfig(sync_interval=0.5, stall_timeout=2.0)
     system = DistributedSystem(n_machines=3, seed=12, config=config)
     system.start(first_sync_delay=0.2)
     api_a, api_b, api_c = system.apis()
@@ -48,14 +42,9 @@ def main() -> None:
           f"{len(carol.read_topic('trip-notes'))} posts "
           "(two of them only on her machine)")
 
-    # -- meanwhile, the master machine dies ------------------------------------
+    # -- meanwhile, the others keep posting ------------------------------------
     system.run_for(2.0)
-    print("\nmaster machine m01 is killed mid-session…")
-    system.node("m01").halt()
-    system.run_for(8.0)  # bob's machine notices the silence and promotes
-    new_master = [n.machine_id for n in system.nodes.values() if n.is_master and n.state == "active"]
-    print(f"  failover complete: new master = {new_master[0]}")
-    bob.post("trip-notes", "posted under the new master")
+    bob.post("trip-notes", "posted while carol was in the air")
     system.run_for(3.0)
 
     # -- Carol reconnects ----------------------------------------------------------
@@ -68,11 +57,8 @@ def main() -> None:
     for author, text in final_carol:
         print(f"    [{author}] {text}")
 
-    active = [n for n in system.nodes.values() if n.state == "active"]
-    reference = active[0].model.committed
-    assert all(n.model.committed.state_equal(reference) for n in active)
-    print("\nall surviving machines agree — offline posts and failover both "
-          "reconciled")
+    assert system.committed_states_equal()
+    print("\nall machines agree — the offline posts reconciled")
 
 
 if __name__ == "__main__":

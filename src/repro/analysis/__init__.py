@@ -16,9 +16,10 @@ GL008    spec predicates read only state inside the frame
 =======  ==========================================================
 
 GL006–GL008 ride on the interprocedural effect engine
-(:mod:`repro.analysis.effects`), which also publishes the
-machine-readable effects manifest (:mod:`repro.analysis.manifest`)
-the commutativity-aware synchronizer will consume.
+(:mod:`repro.analysis.effects`).  Its per-operation footprints and
+op × op interference matrix are values computed from source on demand
+(``effect_engine(context).interference_matrix(...)``); the simfuzz
+footprint and commute probes check them against real executions.
 
 Entry points: the ``glint`` console script, ``python -m repro.cli
 lint``, or :func:`analyze_paths` from code.  See ``docs/ANALYSIS.md``.
@@ -27,15 +28,6 @@ lint``, or :func:`analyze_paths` from code.  See ``docs/ANALYSIS.md``.
 from repro.analysis.effects import EffectEngine, Footprint, effect_engine, pair_verdict
 from repro.analysis.engine import analyze_modules, analyze_paths
 from repro.analysis.loader import AnalysisUsageError, load_module, load_paths
-from repro.analysis.manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    diff_manifests,
-    load_manifest,
-    manifest_from_json,
-    manifest_to_json,
-    write_manifest,
-)
 from repro.analysis.report import (
     REPORT_SCHEMA_VERSION,
     Baseline,
@@ -51,22 +43,15 @@ __all__ = [
     "EffectEngine",
     "Finding",
     "Footprint",
-    "MANIFEST_SCHEMA_VERSION",
     "REPORT_SCHEMA_VERSION",
     "Report",
     "Rule",
     "analyze_modules",
     "analyze_paths",
-    "build_manifest",
-    "diff_manifests",
     "effect_engine",
-    "load_manifest",
     "load_module",
     "load_paths",
-    "manifest_from_json",
-    "manifest_to_json",
     "pair_verdict",
     "rule_by_id",
     "rules_for",
-    "write_manifest",
 ]

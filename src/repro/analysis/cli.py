@@ -3,18 +3,14 @@
 Exit codes follow the usual linter convention:
 
 * ``0`` — clean (no findings after pragma/baseline suppression);
-* ``1`` — findings reported (or manifest drift in ``--check-manifest``);
+* ``1`` — findings reported;
 * ``2`` — usage error: bad paths, unparsable source, unknown rule ids,
   corrupt baseline.
 
-Two fast-path modes ride on the same loader:
-
-* ``--changed [REF]`` — lint only the ``*.py`` files changed since
-  ``REF`` (default ``HEAD``) plus untracked ones, intersected with any
-  given paths.  The pre-push loop: seconds instead of a full tree walk.
-* ``--write-manifest`` / ``--check-manifest`` — emit or diff the
-  machine-readable effects manifest instead of lint findings (the CI
-  drift gate for :mod:`repro.analysis.manifest`).
+One fast-path mode rides on the same loader: ``--changed [REF]`` lints
+only the ``*.py`` files changed since ``REF`` (default ``HEAD``) plus
+untracked ones, intersected with any given paths.  The pre-push loop:
+seconds instead of a full tree walk.
 """
 
 from __future__ import annotations
@@ -26,12 +22,6 @@ from pathlib import Path
 
 from repro.analysis.engine import analyze_modules
 from repro.analysis.loader import AnalysisUsageError, load_paths
-from repro.analysis.manifest import (
-    build_manifest,
-    diff_manifests,
-    load_manifest,
-    write_manifest,
-)
 from repro.analysis.report import Baseline
 from repro.analysis.rules.base import ALL_RULES
 
@@ -89,19 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "lint only *.py files changed since REF (default HEAD) plus "
             "untracked ones, intersected with any given paths"
-        ),
-    )
-    parser.add_argument(
-        "--write-manifest",
-        metavar="PATH",
-        help="write the effects manifest for the given paths to PATH and exit",
-    )
-    parser.add_argument(
-        "--check-manifest",
-        metavar="PATH",
-        help=(
-            "rebuild the effects manifest and diff it against the committed "
-            "one at PATH; any drift exits 1"
         ),
     )
     parser.add_argument(
@@ -196,30 +173,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             targets = args.paths
         modules = load_paths(targets, root=args.root)
-
-        if args.write_manifest or args.check_manifest:
-            manifest = build_manifest(modules)
-            if args.write_manifest:
-                write_manifest(manifest, args.write_manifest)
-                print(
-                    f"wrote effects manifest for {len(manifest['classes'])} "
-                    f"shared class(es) to {args.write_manifest}"
-                )
-                return EXIT_CLEAN
-            committed = load_manifest(args.check_manifest)
-            drift = diff_manifests(committed, manifest)
-            if drift:
-                print(f"effects manifest drift vs {args.check_manifest}:")
-                for line in drift:
-                    print(f"  {line}")
-                print(
-                    "regenerate with: glint <paths> --write-manifest "
-                    f"{args.check_manifest}"
-                )
-                return EXIT_FINDINGS
-            print(f"effects manifest matches {args.check_manifest}")
-            return EXIT_CLEAN
-
         report = analyze_modules(modules, rule_ids=rule_ids, baseline=baseline)
         if args.write_baseline:
             Baseline().write(args.write_baseline, report)

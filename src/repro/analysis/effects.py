@@ -38,7 +38,7 @@ The result per method is a :class:`Footprint`:
   footprint probe skips the method.
 
 ``pair_verdict`` reduces two footprints to the three-valued outcome
-GL007 and the effects manifest publish: ``disjoint`` (no write on
+GL007 certifies against: ``disjoint`` (no write on
 either side overlaps the other's reads or writes), ``commutes`` (every
 overlapping attribute is written on both sides with the identical
 certifiable algebra), or ``interferes``.
@@ -709,7 +709,7 @@ def conflicting_attrs(fa: Footprint, fb: Footprint) -> list[str]:
 
 def effect_engine(context: ProjectContext) -> EffectEngine:
     """The per-context engine, cached on the context so the three
-    effect rules and the manifest builder share one resolution pass."""
+    effect rules share one resolution pass."""
     engine = getattr(context, "_effect_engine", None)
     if engine is None:
         engine = EffectEngine(context)

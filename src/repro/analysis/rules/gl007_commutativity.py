@@ -20,8 +20,8 @@ Certification is the pairwise verdict of :func:`pair_verdict`:
 
 Anything else — including operations whose footprints the engine
 could not fully resolve — leaves the marker uncertified and flagged.
-The full op x op matrix (not just the marked rows) is published in
-the effects manifest.
+The full op x op matrix (not just the marked rows) is
+``EffectEngine.interference_matrix``.
 """
 
 from __future__ import annotations

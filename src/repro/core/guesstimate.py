@@ -172,7 +172,8 @@ class IssueTicket:
         return self.status in (IssueTicket.REJECTED, IssueTicket.COMMITTED)
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until rejected/committed (real-time transport only)."""
+        """Block until rejected/committed (call from a thread other than
+        the scheduler's, which has to keep running to commit it)."""
         with IssueTicket._resolved:
             return IssueTicket._resolved.wait_for(lambda: self.done, timeout)
 

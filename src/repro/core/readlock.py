@@ -7,8 +7,9 @@ EndRead(obj) are guaranteed to be isolated from concurrent writes to
 obj through the synchronizer", paper section 2).
 
 On the deterministic event loop everything is serialized anyway, but
-the real-time transport runs the synchronizer on a timer thread, so the
-lock table here is load-bearing there.  The table also validates
+a wall-clock scheduler can run the synchronizer on its own thread
+(``LoopbackCluster.run_in_thread``), so the lock table here is
+load-bearing for a reader on any other thread.  The table also validates
 pairing (EndRead without BeginRead is a bug worth failing loudly on).
 """
 

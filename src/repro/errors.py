@@ -109,18 +109,6 @@ class RuntimeFailure(GuesstimateError):
     """Internal synchronizer failures (protocol violations, bad state)."""
 
 
-class NotMasterError(RuntimeFailure):
-    """A master-only action was attempted on a non-master node."""
-
-
-class ProtocolError(RuntimeFailure):
-    """A message arrived that is invalid for the current protocol stage."""
-
-
-class MembershipError(RuntimeFailure):
-    """Join/leave handling failed."""
-
-
 class NodeCrashedError(RuntimeFailure):
     """An API call was made on a node that has crashed or been removed."""
 
@@ -221,10 +209,6 @@ class ContractViolation(SpecError):
         self.kind = kind
         self.description = description
         self.subject = subject
-
-
-class ConformanceError(SpecError):
-    """A shared operation does not conform to its specification."""
 
 
 # ---------------------------------------------------------------------------

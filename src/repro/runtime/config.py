@@ -112,12 +112,6 @@ class RuntimeConfig:
     #: cap, and master-side round pipelining depth.
     sync: SyncConfig = field(default_factory=SyncConfig)
 
-    #: Master failover: if no master signal arrives for this long, the
-    #: lexicographically-smallest surviving slave promotes itself (the
-    #: paper's proposed fix for the single point of failure).  None
-    #: disables failover (the paper's actual implementation).
-    failover_timeout: float | None = None
-
     # -- durability (write-ahead log + snapshots + crash recovery) --------
 
     #: Durability backend: ``off`` (the paper's in-memory implementation,

@@ -146,8 +146,6 @@ class GuesstimateNode(Host):
             self.state = GuesstimateNode.STATE_JOINING
             self._announce()
         self.trace(Tracer.MEMBERSHIP, state=self.state)
-        if self.config.failover_timeout is not None and not self.is_master:
-            self._arm_failover_check()
 
     def _announce(self) -> None:
         """Broadcast Hello, retrying until welcomed (Hello can be lost)."""
@@ -172,8 +170,7 @@ class GuesstimateNode(Host):
         """Simulate a hard process kill: no Goodbye, no cleanup.
 
         Unlike a network crash (fault injector), a halted node stops
-        doing local work too — the scenario the master-failover
-        extension exists for.  The durable store is released (its
+        doing local work too.  The durable store is released (its
         on-disk state is whatever the fsync policy made stable);
         :meth:`recover_and_rejoin` rebuilds from it.
         """
@@ -229,7 +226,6 @@ class GuesstimateNode(Host):
         self.synchronizer.op_buffer.clear()
         self.meshes.join(self.machine_id, self._on_signal, self._on_op)
         self.state = GuesstimateNode.STATE_JOINING
-        self.synchronizer.last_master_signal = self.scheduler.now()
         self._announce()
 
     def restart(self) -> None:
@@ -321,8 +317,6 @@ class GuesstimateNode(Host):
         self.meshes.join(self.machine_id, self._on_signal, self._on_op)
         self.model = MachineModel(self.machine_id)
         self.restart()
-        if self.config.failover_timeout is not None and not self.is_master:
-            self._arm_failover_check()
 
     def load_welcome(self, welcome: msg.Welcome) -> None:
         """Initialize state from the master's Welcome and go active.
@@ -574,51 +568,6 @@ class GuesstimateNode(Host):
             return
         if isinstance(envelope.payload, msg.OpBatch):
             self.synchronizer.handle_op(envelope.payload)
-
-    # -- master failover (section-9 extension) ----------------------------------------
-
-    def _arm_failover_check(self) -> None:
-        timeout = self.config.failover_timeout
-        assert timeout is not None
-        self.scheduler.call_later(timeout / 2, self._failover_check)
-
-    def _failover_check(self) -> None:
-        """Promote this node to master if the master has gone silent.
-
-        The paper's future-work proposal: "designating a new machine as
-        master if no synchronization messages are received for a
-        threshold duration."  The lexicographically-smallest surviving
-        slave (per the last announced order) takes over, resuming round
-        numbering past anything previously seen.
-        """
-        if self.master is not None or self.state == GuesstimateNode.STATE_STOPPED:
-            return
-        timeout = self.config.failover_timeout
-        assert timeout is not None
-        sync = self.synchronizer
-        silent_for = self.scheduler.now() - sync.last_master_signal
-        if (
-            self.state == GuesstimateNode.STATE_ACTIVE
-            and silent_for > timeout
-            and sync.last_order
-        ):
-            old_master = sync.last_order[0]
-            survivors = [
-                machine_id
-                for machine_id in sync.last_order
-                if machine_id != old_master
-            ]
-            if survivors and survivors[0] == self.machine_id:
-                self._promote_to_master(survivors)
-                return
-        self._arm_failover_check()
-
-    def _promote_to_master(self, participants: list[str]) -> None:
-        self.trace(Tracer.RECOVERY, action="failover", participants=len(participants))
-        self.master = MasterControl(self)
-        self.master.participants = list(participants)
-        self.master.round_counter = self.synchronizer.last_round_seen + 1
-        self.master.start(0.0)
 
     # -- introspection -------------------------------------------------------------------
 

@@ -128,10 +128,9 @@ class Synchronizer:
         #: with pipelining round k's refresh also covers round k+1's
         #: already-applied ops (the naive full copy trivially did).
         self.refresh_backlog: set[str] = set()
-        # Master-liveness tracking for the failover extension.
-        self.last_master_signal: float = node.scheduler.now()
+        #: participant order of the newest round signal seen
+        #: (``GET /cluster`` reports it on a slave)
         self.last_order: tuple[str, ...] = ()
-        self.last_round_seen: int = 0
         #: highest round id we have seen SyncComplete for — stale
         #: signals for rounds at or below this must not resurrect them
         self.last_done_round: int = 0
@@ -154,32 +153,14 @@ class Synchronizer:
             # rounds).  Applying round signals on top of recovered
             # state here would race the Welcome the master builds from
             # our announced position and duplicate committed ops.
-            if isinstance(payload, (msg.StartSync, msg.BeginApply, msg.SyncComplete)):
-                self.last_master_signal = node.scheduler.now()  # master liveness
             if (
                 isinstance(payload, msg.Welcome)
                 and payload.machine_id == node.machine_id
             ):
                 node.load_welcome(payload)
             return
-        if isinstance(
-            payload,
-            (
-                msg.StartSync,
-                msg.YourTurn,
-                msg.BeginApply,
-                msg.SyncComplete,
-                msg.ParticipantRemoved,
-                msg.Welcome,
-                msg.Restart,
-            ),
-        ):
-            self.last_master_signal = node.scheduler.now()
-            if isinstance(payload, (msg.StartSync, msg.BeginApply, msg.YourTurn)):
-                self.last_order = payload.order
-                self.last_round_seen = max(self.last_round_seen, payload.round_id)
-            elif isinstance(payload, msg.SyncComplete):
-                self.last_round_seen = max(self.last_round_seen, payload.round_id)
+        if isinstance(payload, (msg.StartSync, msg.YourTurn, msg.BeginApply)):
+            self.last_order = payload.order
         if isinstance(payload, msg.StartSync):
             self._on_start_sync(payload)
         elif isinstance(payload, msg.YourTurn):

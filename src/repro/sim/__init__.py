@@ -2,8 +2,9 @@
 
 The GUESSTIMATE runtime is written against the small scheduler interface
 defined here, so the same synchronizer code runs on the deterministic
-virtual-time loop used by tests and benchmarks and on the real-time
-threaded scheduler used by the live examples.
+virtual-time loop used by tests and the paper's figures and on the
+asyncio wall-clock scheduler (:mod:`repro.transport.scheduler`) that
+the daemon, the gateway and ``bench/`` run on.
 
 Public classes:
 
@@ -13,8 +14,6 @@ Public classes:
   scheduler (the heart of every benchmark).
 * :class:`~repro.sim.eventloop.ScheduledEvent` — cancellable handle.
 * :class:`~repro.sim.scheduler.Scheduler` — the abstract interface.
-* :class:`~repro.sim.scheduler.RealTimeScheduler` — wall-clock
-  implementation backed by a timer thread.
 * :class:`~repro.sim.rand.SeededSource` — seeded random streams, one
   sub-stream per named component.
 """
@@ -22,11 +21,10 @@ Public classes:
 from repro.sim.clock import VirtualClock
 from repro.sim.eventloop import EventLoop, ScheduledEvent
 from repro.sim.rand import SeededSource
-from repro.sim.scheduler import RealTimeScheduler, Scheduler
+from repro.sim.scheduler import Scheduler
 
 __all__ = [
     "EventLoop",
-    "RealTimeScheduler",
     "ScheduledEvent",
     "Scheduler",
     "SeededSource",

@@ -2,8 +2,8 @@
 
 Events are ordered by (time, sequence-number) so two runs with the same
 inputs produce byte-identical traces.  This loop drives every test and
-benchmark in the repository; the real-time examples use
-:class:`~repro.sim.scheduler.RealTimeScheduler` instead.
+virtual-clock experiment in the repository; real sockets run on
+:class:`~repro.transport.scheduler.AsyncioScheduler` instead.
 """
 
 from __future__ import annotations

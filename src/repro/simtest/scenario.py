@@ -11,9 +11,9 @@ streams, so the same seed always yields the same spec — and because
 the spec is plain data, the shrinker can minimize it field by field
 without touching the generator.
 
-Only *slave* machines are ever faulted: the reproduction's master has
-no failover by default (matching the paper), so faulting it would turn
-every scenario into a wedge rather than a recovery exercise.
+Only *slave* machines are ever faulted: nothing takes over from a lost
+master, as in the paper, so crashing it would turn every scenario into
+a wedge rather than a recovery exercise.
 """
 
 from __future__ import annotations

@@ -168,9 +168,9 @@ def commutative(fn: Callable) -> Callable:
     """Mark an operation as commuting with every op of its class.
 
     A bare marker, no runtime semantics of its own: glint's GL007
-    certifies it against the inferred interference matrix, the effects
-    manifest publishes it, and the simfuzz commute probe re-executes
-    adjacent committed pairs of marked ops in both orders.  Apply it
+    certifies it against the inferred interference matrix and the
+    simfuzz commute probe re-executes adjacent committed pairs of
+    marked ops in both orders.  Apply it
     *outermost* (above ``@requires``/``@ensures``/``@modifies``) so the
     marker lands on the wrapped function the class actually holds.
     """

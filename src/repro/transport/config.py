@@ -31,10 +31,10 @@ Schema (all sections except ``nodes`` optional)::
 ``${VAR:-default}`` fallback syntax), so one checked-in config file
 serves every deployment — the pattern real multi-node launchers use.
 
-Parsing uses PyYAML when importable and otherwise falls back to a
-built-in parser for the indentation subset this schema needs (nested
-mappings, lists of mappings, scalar coercion, comments) — CI installs
-no YAML dependency, and the daemon must boot anywhere the library runs.
+Parsing uses one built-in parser for the indentation subset this
+schema needs (nested mappings, lists of mappings, scalar coercion,
+comments) — there is no YAML dependency, so a file means the same thing
+on every machine and the daemon boots anywhere the library runs.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def expand_env(text: str, env: dict | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Minimal YAML-subset parser (fallback when PyYAML is unavailable)
+# Minimal YAML-subset parser
 # ---------------------------------------------------------------------------
 
 
@@ -118,7 +118,7 @@ def parse_simple_yaml(text: str):
     Supports nested mappings (2+ space indents), lists of mappings or
     scalars (``- `` items), inline scalars with type coercion, and
     full/trailing comments.  Not a general YAML parser — just enough
-    for ``cluster.yaml`` when PyYAML is absent.
+    for ``cluster.yaml``.
     """
     lines: list[tuple[int, str]] = []  # (indent, content)
     for raw in text.splitlines():
@@ -206,15 +206,6 @@ def parse_simple_yaml(text: str):
     return value
 
 
-def parse_yaml(text: str):
-    """PyYAML when available, the built-in subset parser otherwise."""
-    try:
-        import yaml  # type: ignore[import-untyped]
-    except ImportError:
-        return parse_simple_yaml(text)
-    return yaml.safe_load(text)
-
-
 # ---------------------------------------------------------------------------
 # Validated deployment description
 # ---------------------------------------------------------------------------
@@ -294,7 +285,6 @@ _RUNTIME_KEYS = {
     "sync_interval": float,
     "stall_timeout": float,
     "missing_ops_timeout": float,
-    "failover_timeout": float,
     "durability": str,
     "fsync_policy": str,
     "fsync_interval": int,
@@ -343,13 +333,20 @@ def cluster_from_dict(data) -> ClusterConfig:
     for entry in nodes_section:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ClusterConfigError(f"malformed node entry: {entry!r}")
+        master = entry.get("master", False)
+        if not isinstance(master, bool):
+            # bool("no") is True: only the parser's own booleans count
+            raise ClusterConfigError(
+                f"node {entry['id']!r}: master must be true or false "
+                f"(got {master!r})"
+            )
         try:
             nodes.append(
                 NodeSpec(
                     node_id=str(entry["id"]),
                     host=str(entry.get("host", "127.0.0.1")),
                     port=int(entry["port"]),
-                    master=bool(entry.get("master", False)),
+                    master=master,
                     data_dir=entry.get("data_dir"),
                 )
             )
@@ -397,4 +394,4 @@ def load_cluster_config(path: str, env: dict | None = None) -> ClusterConfig:
             text = handle.read()
     except OSError as exc:
         raise ClusterConfigError(f"cannot read cluster config {path!r}: {exc}") from None
-    return cluster_from_dict(parse_yaml(expand_env(text, env)))
+    return cluster_from_dict(parse_simple_yaml(expand_env(text, env)))

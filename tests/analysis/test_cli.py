@@ -1,7 +1,6 @@
 """glint CLI: exit codes, formats, baseline workflow, lint passthrough."""
 
 import json
-import shutil
 import subprocess
 from pathlib import Path
 
@@ -178,52 +177,6 @@ class TestChangedMode:
         err = capsys.readouterr().err
         assert "not a git revision" in err
         assert "paths go before the flag" in err
-
-
-class TestManifestMode:
-    SOURCE = FIXTURES / "gl007_clean.py"
-
-    def test_write_then_check_round_trips(self, tmp_path, capsys):
-        manifest = tmp_path / "effects.json"
-        src = str(self.SOURCE)
-        assert glint_main([src, "--write-manifest", str(manifest)]) == EXIT_CLEAN
-        assert "wrote effects manifest" in capsys.readouterr().out
-        assert glint_main([src, "--check-manifest", str(manifest)]) == EXIT_CLEAN
-        assert "matches" in capsys.readouterr().out
-
-    def test_drift_fails_the_check(self, tmp_path, capsys):
-        source = tmp_path / "drifting.py"
-        shutil.copyfile(self.SOURCE, source)
-        manifest = tmp_path / "effects.json"
-        assert (
-            glint_main([str(source), "--write-manifest", str(manifest)])
-            == EXIT_CLEAN
-        )
-        capsys.readouterr()
-        with source.open("a") as handle:
-            handle.write(
-                "\n"
-                "    @modifies(\"journal\")\n"
-                "    def wipe(self, key):\n"
-                "        self.journal.pop(key, None)\n"
-                "        return True\n"
-            )
-        assert (
-            glint_main([str(source), "--check-manifest", str(manifest)])
-            == EXIT_FINDINGS
-        )
-        out = capsys.readouterr().out
-        assert "drift" in out
-        assert "wipe: operation added" in out
-
-    def test_corrupt_manifest_is_usage_error(self, tmp_path, capsys):
-        manifest = tmp_path / "effects.json"
-        manifest.write_text('{"schema": 999, "classes": {}}')
-        assert (
-            glint_main([str(self.SOURCE), "--check-manifest", str(manifest)])
-            == EXIT_USAGE
-        )
-        assert "schema" in capsys.readouterr().err
 
 
 class TestLintPassthrough:

@@ -1,10 +1,9 @@
-"""The interprocedural effect engine and the effects manifest.
+"""The interprocedural effect engine.
 
 Unit tests pin the engine's verdicts on the in-tree apps (the same
-classes the simfuzz effect probes trust at runtime), property tests
-pin the manifest's determinism and codec, and two regression pins keep
-the apps GL006-clean and the committed ``effects-manifest.json``
-baseline in sync with the source.
+classes the simfuzz effect probes trust at runtime), a property test
+pins the interference matrix's symmetry, and a regression pin keeps
+the apps GL006-clean.
 """
 
 import keyword
@@ -24,15 +23,6 @@ from repro.analysis.effects import (
     pair_verdict,
 )
 from repro.analysis.loader import load_paths
-from repro.analysis.manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    diff_manifests,
-    interference_of,
-    load_manifest,
-    manifest_from_json,
-    manifest_to_json,
-)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 APPS_DIR = REPO_ROOT / "src" / "repro" / "apps"
@@ -249,36 +239,7 @@ def _counter_class_source(attrs: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=8), children, max_size=3),
-    max_leaves=8,
-)
-
-
 class TestManifestProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(attrs=st.lists(_IDENT, min_size=1, max_size=3, unique=True))
-    def test_manifest_is_deterministic_in_source_text(self, attrs):
-        source = _counter_class_source(attrs)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "generated.py"
-            path.write_text(source)
-            first = manifest_to_json(
-                build_manifest(load_paths([path], root=Path(tmp)))
-            )
-            second = manifest_to_json(
-                build_manifest(load_paths([path], root=Path(tmp)))
-            )
-        assert first == second
-
-    @settings(max_examples=50, deadline=None)
-    @given(payload=st.dictionaries(st.text(max_size=8), _JSON, max_size=4))
-    def test_codec_round_trips(self, payload):
-        manifest = {"schema": MANIFEST_SCHEMA_VERSION, "classes": payload}
-        assert manifest_from_json(manifest_to_json(manifest)) == manifest
-
     @settings(
         max_examples=25,
         deadline=None,
@@ -288,22 +249,16 @@ class TestManifestProperties:
     def test_disjoint_counters_symmetric_in_matrix(self, attrs):
         source = _counter_class_source(attrs)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "generated.py"
-            path.write_text(source)
-            manifest = build_manifest(load_paths([path], root=Path(tmp)))
+            context, engine = _load_source(Path(tmp), source)
+        footprints = engine.operation_footprints(context.shared_classes["Generated"])
+        matrix = engine.interference_matrix(footprints)
         ops = [f"inc_{attr}" for attr in attrs]
         for op_a in ops:
             for op_b in ops:
-                forward = interference_of(manifest, "Generated", op_a, op_b)
-                backward = interference_of(manifest, "Generated", op_b, op_a)
-                assert forward == backward
-                assert forward == ("commutes" if op_a == op_b else "disjoint")
-
-    def test_rejects_wrong_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            manifest_from_json('{"schema": 999, "classes": {}}')
-        with pytest.raises(ValueError, match="missing schema"):
-            manifest_from_json('{"classes": {}}')
+                a, b = sorted((op_a, op_b))
+                verdict = matrix[f"{a}|{b}"]  # one key per unordered pair
+                assert verdict == pair_verdict(footprints[op_a], footprints[op_b])
+                assert verdict == ("commutes" if op_a == op_b else "disjoint")
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +275,3 @@ class TestRegressionPins:
             root=REPO_ROOT,
         )
         assert report.findings == []
-
-    def test_committed_manifest_matches_source(self):
-        committed = load_manifest(REPO_ROOT / "effects-manifest.json")
-        current = build_manifest(load_paths([APPS_DIR], root=REPO_ROOT))
-        assert diff_manifests(committed, current) == []

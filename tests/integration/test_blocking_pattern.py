@@ -1,17 +1,13 @@
 """The Figure 4 blocking pattern end to end, on both transports."""
 
-import random
 import threading
 import time
 
+import pytest
+
 from repro.apps.accounts import AccountClient, UserDirectory
-from repro.net.latency import ConstantLatency
-from repro.net.mesh import MeshPair
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.metrics import SystemMetrics
-from repro.runtime.node import GuesstimateNode
-from repro.runtime.tracing import Tracer
-from repro.sim.scheduler import RealTimeScheduler
+from repro.transport.loopback import LoopbackCluster
 from tests.helpers import quick_system
 
 
@@ -30,75 +26,66 @@ class TestVirtualTimeBlocking:
 
 
 class TestRealTimeBlocking:
-    def _build(self):
-        scheduler = RealTimeScheduler()
-        meshes = MeshPair(
-            scheduler, latency=ConstantLatency(0.005), rng=random.Random(0)
+    """Real sockets on the cluster's own loop thread; the test thread is
+    the blocking client, so every ``api`` call is marshalled through
+    ``cluster.call`` and only ``ticket.wait`` runs off the loop."""
+
+    @pytest.fixture()
+    def cluster(self):
+        cluster = LoopbackCluster(
+            2, config=RuntimeConfig(sync_interval=0.1, stall_timeout=2.0)
         )
-        metrics = SystemMetrics()
-        tracer = Tracer(enabled=False)
-        config = RuntimeConfig(sync_interval=0.1, stall_timeout=2.0)
-        nodes = [
-            GuesstimateNode(
-                f"rt{i + 1:02d}", scheduler, meshes, config, metrics, tracer,
-                is_master=(i == 0),
-            )
-            for i in range(2)
+        cluster.boot()
+        cluster.start(0.05)
+        cluster.run_in_thread()
+        try:
+            yield cluster
+        finally:
+            cluster.shutdown()
+
+    def _shared_directory(self, cluster):
+        """Create the directory on m01 and wait until m02 has committed it."""
+        uid = cluster.call(
+            lambda: cluster.api("m01").create_instance(UserDirectory).unique_id
+        )
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            if cluster.call(lambda: cluster.node("m02").model.committed.has(uid)):
+                return uid
+            time.sleep(0.01)
+        raise AssertionError("directory never committed on m02")
+
+    def _client(self, cluster, machine_id, uid):
+        api = cluster.api(machine_id)
+        return cluster.call(lambda: AccountClient(api, api.join_instance(uid)))
+
+    def test_wait_blocks_until_completion(self, cluster):
+        ada = self._client(cluster, "m01", self._shared_directory(cluster))
+        started = time.monotonic()
+        ticket = cluster.call(lambda: ada.register("ada", "pw"))
+        assert ticket.wait(timeout=5.0), "registration never committed"
+        assert ticket.commit_result is True
+        assert time.monotonic() - started < 5.0
+        assert cluster.loop.errors == []
+
+    def test_concurrent_registrations_from_threads(self, cluster):
+        uid = self._shared_directory(cluster)
+        results = {}
+
+        def register(machine_id):
+            client = self._client(cluster, machine_id, uid)
+            ticket = cluster.call(lambda: client.register("same-name", "pw"))
+            ticket.wait(timeout=5.0)
+            results[machine_id] = ticket.commit_result
+
+        threads = [
+            threading.Thread(target=register, args=(machine_id,))
+            for machine_id in ("m01", "m02")
         ]
-        for node in nodes:
-            node.start(founding=True)
-        nodes[0].master.participants = [n.machine_id for n in nodes]
-        nodes[0].master.start(0.05)
-        return scheduler, nodes
-
-    def test_wait_blocks_until_completion(self):
-        scheduler, nodes = self._build()
-        try:
-            directory = nodes[0].api.create_instance(UserDirectory)
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if nodes[1].model.committed.has(directory.unique_id):
-                    break
-                time.sleep(0.01)
-            ada = AccountClient(nodes[0].api, directory)
-            started = time.monotonic()
-            ticket = ada.register("ada", "pw")
-            assert ticket.wait(timeout=5.0), "registration never committed"
-            elapsed = time.monotonic() - started
-            assert ticket.commit_result is True
-            assert elapsed < 5.0
-        finally:
-            nodes[0].master.stop()
-            scheduler.close()
-
-    def test_concurrent_registrations_from_threads(self):
-        scheduler, nodes = self._build()
-        try:
-            directory = nodes[0].api.create_instance(UserDirectory)
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if nodes[1].model.committed.has(directory.unique_id):
-                    break
-                time.sleep(0.01)
-            results = {}
-
-            def register(node, name):
-                client = AccountClient(
-                    node.api, node.api.join_instance(directory.unique_id)
-                )
-                ticket = client.register("same-name", "pw")
-                ticket.wait(timeout=5.0)
-                results[name] = ticket.commit_result
-
-            threads = [
-                threading.Thread(target=register, args=(nodes[0], "a")),
-                threading.Thread(target=register, args=(nodes[1], "b")),
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=6.0)
-            assert sorted(results.values()) == [False, True]
-        finally:
-            nodes[0].master.stop()
-            scheduler.close()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=6.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results.values()) == [False, True]
+        assert cluster.loop.errors == []

@@ -21,6 +21,7 @@ class TestOptionSurface:
         names = {f.name for f in fields(RuntimeConfig)}
         assert "parallel_flush" not in names
         assert "delta_refresh" not in names
+        assert "failover_timeout" not in names
 
 
 class TestCostModel:

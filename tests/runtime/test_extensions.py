@@ -1,5 +1,5 @@
-"""Section-9 future-work extensions: parallel flush, master failover,
-offline updates."""
+"""Section-9 future-work extensions: parallel flush and offline
+updates."""
 
 import pytest
 
@@ -75,54 +75,6 @@ class TestParallelFlush:
         system.run_until_quiesced()
         histogram = system.metrics.execution_histogram()
         assert max(histogram) <= 3
-
-
-class TestMasterFailover:
-    def make(self):
-        # Master m01 is killed at t=5; m02 should take over.
-        config = RuntimeConfig(
-            sync_interval=0.5, stall_timeout=2.0, failover_timeout=4.0
-        )
-        system = DistributedSystem(n_machines=3, seed=5, config=config)
-        system.start(first_sync_delay=0.1)
-        system.loop.call_later(5.0, system.node("m01").halt)
-        return system
-
-    def test_slave_promotes_after_master_silence(self):
-        system = self.make()
-        system.run_for(20.0)
-        assert system.node("m02").is_master
-        assert not system.node("m03").is_master
-
-    def test_rounds_resume_under_new_master(self):
-        system = self.make()
-        replicas, uid = shared_counter(system)
-        system.run_for(20.0)  # master dies at 5; failover by ~10
-        rounds_at_failover = len(system.metrics.sync_records)
-        api = system.api("m03")
-        api.issue_when_possible(
-            api.create_operation(replicas["m03"], "increment", 10)
-        )
-        system.run_for(10.0)
-        assert len(system.metrics.sync_records) > rounds_at_failover
-        # The op committed on the surviving machines.
-        assert system.node("m02").model.committed.get(uid).value == 1
-        assert system.node("m03").model.committed.get(uid).value == 1
-
-    def test_new_master_round_ids_advance(self):
-        system = self.make()
-        system.run_for(20.0)
-        round_ids = [record.round_id for record in system.metrics.sync_records]
-        assert round_ids == sorted(round_ids)
-        assert len(set(round_ids)) == len(round_ids)
-
-    def test_no_failover_while_master_alive(self):
-        config = RuntimeConfig(sync_interval=0.5, failover_timeout=3.0)
-        system = DistributedSystem(n_machines=3, seed=6, config=config)
-        system.start(first_sync_delay=0.1)
-        system.run_for(20.0)
-        assert system.node("m01").is_master
-        assert not system.node("m02").is_master
 
 
 class TestOfflineUpdates:

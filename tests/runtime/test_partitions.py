@@ -1,8 +1,11 @@
 """Network partitions: the master's side keeps going; the minority is
-removed and rejoins after the heal."""
+removed and rejoins after the heal — also when the master *is* the
+minority."""
 
 import random
+from collections import Counter as Tally
 
+from repro.apps.presence import PresenceCounters
 from repro.net.faults import PartitionPlan, ScheduledFaults
 from tests.helpers import Counter, quick_system, shared_counter
 
@@ -125,4 +128,47 @@ class TestPartitionedRuntime:
             system.run_for(5.0)
             check_prefix_agreement()
         system.run_until_quiesced()
+        system.check_all_invariants()
+
+
+class TestIsolatedMaster:
+    def test_heals_to_one_history_and_loses_nothing_acknowledged(self):
+        """The master alone in its group for 10 s: the slaves stall (no
+        one promotes itself), the master evicts them, and after the heal
+        they restart onto its history.  Every completion that fired
+        with True is in every machine's committed state."""
+        system = partitioned_system(
+            groups=(("m01",), ("m02", "m03")), start=5.0, end=15.0, n=3
+        )
+        uid = system.api("m01").create_instance(PresenceCounters).unique_id
+        system.run_until_quiesced()
+        acknowledged = Tally()
+
+        def bump(machine_id):
+            node = system.node(machine_id)
+            if node.state != "active":
+                return  # restarting: the replica comes back with the Welcome
+            api = node.api
+
+            def done(result):
+                if result:
+                    acknowledged[machine_id] += 1
+
+            api.issue_when_possible(
+                api.create_operation(api.join_instance(uid), "bump", machine_id, 1),
+                done,
+            )
+
+        for second in range(1, 41):
+            for machine_id in system.machine_ids():
+                system.loop.call_later(float(second), lambda m=machine_id: bump(m))
+        system.run_for(80.0)
+
+        assert [n.machine_id for n in system.nodes.values() if n.is_master] == ["m01"]
+        round_ids = [record.round_id for record in system.metrics.sync_records]
+        assert len(set(round_ids)) == len(round_ids)
+        assert sorted(acknowledged) == system.machine_ids()
+        for node in system.nodes.values():
+            assert node.state == "active"
+            assert node.model.committed.get(uid).counters == dict(acknowledged)
         system.check_all_invariants()

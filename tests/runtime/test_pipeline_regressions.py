@@ -185,15 +185,6 @@ class TestJoiningGate:
         assert syn.op_buffer == {}
         assert node.state == node.STATE_JOINING
 
-    def test_joining_node_still_tracks_master_liveness(self):
-        system = quick_system(3)
-        node = system.node("m03")
-        node.restart()
-        syn = node.synchronizer
-        syn.last_master_signal = -1.0
-        syn.handle_signal(msg.StartSync(4, ORDER, False))
-        assert syn.last_master_signal == node.scheduler.now()
-
     def test_joining_node_ignores_other_machines_welcome(self):
         system = quick_system(3)
         node = system.node("m03")

@@ -1,6 +1,9 @@
-"""cluster.yaml loading: env expansion, fallback parser, validation."""
+"""cluster.yaml loading: env expansion, the built-in parser, validation."""
 
 from __future__ import annotations
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,8 @@ from repro.transport.config import (
     load_cluster_config,
     parse_simple_yaml,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SAMPLE = """\
 cluster:
@@ -141,8 +146,12 @@ class TestClusterValidation:
             cluster_from_dict(data)
 
     def test_unknown_runtime_option_rejected(self):
-        # a typo, and a retired option an old cluster.yaml may still set
-        for key, value in (("sync_intervle", 0.5), ("delta_refresh", False)):
+        # a typo, and retired options an old cluster.yaml may still set
+        for key, value in (
+            ("sync_intervle", 0.5),
+            ("delta_refresh", False),
+            ("failover_timeout", 4.0),
+        ):
             data = self.base()
             data["runtime"] = {key: value}
             with pytest.raises(ClusterConfigError, match=key):
@@ -199,3 +208,52 @@ class TestDerivedViews:
     def test_missing_file_raises(self):
         with pytest.raises(ClusterConfigError, match="cannot read"):
             load_cluster_config("/nonexistent/cluster.yaml", {})
+
+
+class TestOneParser:
+    """A cluster.yaml means the same thing on every machine."""
+
+    @pytest.mark.parametrize(
+        "n1, n2, culprit",
+        [
+            ("true", "no", "'n2'.*'no'"),
+            ("yes", "false", "'n1'.*'yes'"),
+            ("1", "false", "'n1'.*1"),
+        ],
+    )
+    def test_master_must_be_a_real_boolean(self, tmp_path, n1, n2, culprit):
+        # YAML 1.1 spellings a full parser would coerce: bool("no") is
+        # True, so anything but true/false is refused by name, not guessed
+        path = tmp_path / "cluster.yaml"
+        path.write_text(
+            "nodes:\n"
+            f"  - id: n1\n    port: 9101\n    master: {n1}\n"
+            f"  - id: n2\n    port: 9102\n    master: {n2}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ClusterConfigError, match=f"node {culprit}"):
+            load_cluster_config(str(path), {})
+
+    def test_shipped_configs_load(self, tmp_path):
+        example = load_cluster_config(
+            str(REPO_ROOT / "examples" / "cluster" / "cluster.yaml"), {}
+        )
+        assert example.master_id == "n1"
+        deploy = (REPO_ROOT / "docs" / "DEPLOY.md").read_text(encoding="utf-8")
+        sample = tmp_path / "cluster.yaml"
+        sample.write_text(
+            re.search(r"```yaml\n(.*?)```", deploy, re.S).group(1), encoding="utf-8"
+        )
+        documented = load_cluster_config(str(sample), {})
+        assert documented.master_id == "n1"
+        assert documented.runtime.sync.batch_max_ops == 64
+
+    def test_no_yaml_dependency_under_src(self):
+        importers = [
+            str(path.relative_to(REPO_ROOT))
+            for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+            if re.search(
+                r"^\s*(import|from) yaml\b", path.read_text(encoding="utf-8"), re.M
+            )
+        ]
+        assert importers == []
