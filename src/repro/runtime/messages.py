@@ -8,13 +8,19 @@ real transport.
 Signals channel (control plane):
 
 * :class:`StartSync` / :class:`YourTurn` / :class:`FlushDone` — stage 1,
-  AddUpdatesToMesh (serial, master-granted turns).
+  AddUpdatesToMesh (everyone at once on ``StartSync``, or the paper's
+  serial master-granted turns).
 * :class:`BeginApply` / :class:`ApplyAck` / :class:`ResendOpsRequest` —
   stage 2, ApplyUpdatesFromMesh.
 * :class:`SyncComplete` — stage 3, FlagCompletion.
 * :class:`Hello` / :class:`Welcome` / :class:`WelcomeAck` /
   :class:`Goodbye` — membership.
 * :class:`ParticipantRemoved` / :class:`Restart` — fault recovery.
+
+A signal goes to whoever reads it: the master's announcements and
+``ResendOpsRequest`` / ``Hello`` / ``Goodbye`` are broadcasts, while
+``FlushDone`` and ``ApplyAck`` — which only the master consumes — are
+sent to the master alone (``order[0]`` of their round).
 
 Operations channel (data plane):
 
@@ -61,7 +67,7 @@ class YourTurn:
 
 @dataclass(frozen=True, slots=True)
 class FlushDone:
-    """One machine → all: my flush finished; I sent ``count`` operations."""
+    """One machine → master: my flush finished; I sent ``count`` operations."""
 
     round_id: int
     machine_id: str
@@ -86,7 +92,7 @@ class BeginApply:
 
 @dataclass(frozen=True, slots=True)
 class ApplyAck:
-    """One machine → all (master consumes): I applied every operation."""
+    """One machine → master: I applied (and logged) every operation."""
 
     round_id: int
     machine_id: str

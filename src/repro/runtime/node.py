@@ -553,6 +553,16 @@ class GuesstimateNode(Host):
         self.signals_mesh.broadcast(self.machine_id, payload)
         self._dispatch_signal(payload)
 
+    def signal_master(self, master_id: str, payload: object) -> None:
+        """Send a signal only the master reads (``FlushDone``, ``ApplyAck``)
+        to ``master_id``, ``order[0]`` of its round.  The master's own
+        copy is dispatched synchronously, as :meth:`broadcast_signal`
+        does, so it keeps its place in the order of steps."""
+        if master_id == self.machine_id:
+            self._dispatch_signal(payload)
+        else:
+            self.signals_mesh.send(self.machine_id, master_id, payload)
+
     def _on_signal(self, envelope: Envelope) -> None:
         self._dispatch_signal(envelope.payload)
 

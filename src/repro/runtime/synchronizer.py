@@ -2,7 +2,10 @@
 
 Every node runs a :class:`Synchronizer`; the designated master node
 additionally runs a :class:`MasterControl` that initiates rounds,
-grants flush turns, watches for stalls and drives recovery.
+grants flush turns, watches for stalls and drives recovery.  The
+master's announcements are broadcasts; the two acknowledgements only it
+reads (``FlushDone``, ``ApplyAck``) are sent to it alone — ``order[0]``
+of the round — so a fault-free concurrent round is 5(N-1) signals.
 
 Stage 1 — **AddUpdatesToMesh**.  Two collection strategies
 (:class:`~repro.runtime.config.SyncConfig.collection`), chosen when
@@ -23,8 +26,8 @@ both commit the identical sequence, through the one apply path
 In either mode a flush ships the pending list as size-capped
 :class:`~repro.runtime.messages.OpBatch` frames (``batch_max_ops``
 entries each) followed by a
-:class:`~repro.runtime.messages.FlushDone`.  No operations may be
-issued inside the flush window.
+:class:`~repro.runtime.messages.FlushDone` to the master.  No
+operations may be issued inside the flush window.
 
 **Round pipelining** (``SyncConfig.pipeline_depth > 1``): the master
 begins collecting round *k+1* while round *k*'s ``BeginApply``/acks
@@ -48,8 +51,10 @@ schedules the next round.
 
 Fault recovery mirrors the paper: a stalled machine first gets its
 signal resent (:class:`~repro.runtime.messages.YourTurn` or a unicast
-``BeginApply``); if it still does not respond it is removed from the
-current synchronization and told to :class:`~repro.runtime.messages.Restart`.
+``BeginApply``), which one that had already flushed or applied answers
+by repeating its acknowledgement; if it still does not respond it is
+removed from the current synchronization and told to
+:class:`~repro.runtime.messages.Restart`.
 """
 
 from __future__ import annotations
@@ -224,8 +229,9 @@ class Synchronizer:
             return
         if round_state.flushed:
             # Our FlushDone was probably lost; resend it (recovery path).
-            self.node.broadcast_signal(
-                msg.FlushDone(turn.round_id, self.node.machine_id, round_state.flush_count)
+            self.node.signal_master(
+                turn.order[0],
+                msg.FlushDone(turn.round_id, self.node.machine_id, round_state.flush_count),
             )
             return
         self._flush(round_state)
@@ -257,8 +263,9 @@ class Synchronizer:
 
         def end_flush() -> None:
             node.exit_window("flush")
-            node.broadcast_signal(
-                msg.FlushDone(round_state.round_id, node.machine_id, round_state.flush_count)
+            node.signal_master(
+                round_state.order[0],
+                msg.FlushDone(round_state.round_id, node.machine_id, round_state.flush_count),
             )
 
         node.scheduler.after_work(node.config.flush_cpu(len(entries)), end_flush)
@@ -292,7 +299,14 @@ class Synchronizer:
         if self.node.machine_id not in begin.order:
             return
         round_state = self._ensure_round(begin.round_id, begin.order)
-        if round_state is None or round_state.applied or round_state.done:
+        if round_state is None or round_state.done:
+            return
+        if round_state.applied:
+            # A second BeginApply for a round we applied: our ApplyAck
+            # was probably lost; resend it (mirrors _on_your_turn).
+            self.node.signal_master(
+                begin.order[0], msg.ApplyAck(begin.round_id, self.node.machine_id)
+            )
             return
         round_state.counts = dict(begin.counts)
         for dropped in round_state.dropped:
@@ -465,7 +479,9 @@ class Synchronizer:
         def ack_and_update() -> None:
             if node.state == node.STATE_STOPPED:  # crashed before the ack fired
                 return
-            node.broadcast_signal(msg.ApplyAck(round_state.round_id, node.machine_id))
+            node.signal_master(
+                round_state.order[0], msg.ApplyAck(round_state.round_id, node.machine_id)
+            )
             self._update_guess(round_state, remote_touched)
 
         node.scheduler.after_work(node.config.apply_cpu(len(decoded)), ack_and_update)
@@ -626,6 +642,10 @@ class MasterControl:
     *k* reaches its apply stage, keeping at most *d* rounds in flight;
     at most one round is ever in the flush stage, and rounds always
     finish (``SyncComplete``) in round-id order.
+
+    Stalls are watched with one timer however many rounds and signals
+    pass: progress only records its time (``_progress``), and the timer
+    re-arms itself for whatever is left of ``stall_timeout``.
     """
 
     def __init__(self, node: "GuesstimateNode"):
@@ -642,7 +662,10 @@ class MasterControl:
         #: id -> (machine_id, op_number) tail key of that recovered
         #: history, cross-checked before a delta Welcome is served
         self.recovered_tails: dict[str, tuple] = {}
-        self._progress_seq = 0
+        #: when a round last moved (or started on an idle pipeline), and
+        #: whether the one watchdog timer that reads it is pending
+        self._last_progress = 0.0
+        self._watchdog_armed = False
         self._next_round_timer: object | None = None
         self._stopped = False
         self._halted = False  # hard stop (crash): no recovery actions either
@@ -725,6 +748,8 @@ class MasterControl:
             return
         self.round_counter += 1
         order = tuple(self.participants)
+        # FlushDone / ApplyAck are sent to order[0] alone.
+        assert order[0] == self.node.machine_id, "master first"
         from repro.runtime.metrics import SyncRecord
 
         mode = self.node.config.sync.collection
@@ -748,7 +773,8 @@ class MasterControl:
         )
         if not concurrent:
             self._grant_turn(round_)
-        self._arm_watchdog()
+        if len(self.inflight) == 1:
+            self._progress()  # an idle pipeline's clock starts here
 
     def _grant_turn(self, round_: "_MasterRound") -> None:
         """Grant the flush turn to the next machine in order."""
@@ -990,21 +1016,30 @@ class MasterControl:
     # -- stall detection and recovery ------------------------------------------------------
 
     def _progress(self) -> None:
-        self._progress_seq += 1
-        self._arm_watchdog()
+        """Record that a round moved; the watchdog measures from here."""
+        self._last_progress = self.node.scheduler.now()
+        if not self._watchdog_armed:
+            self._arm_watchdog(self.node.config.stall_timeout)
 
-    def _arm_watchdog(self) -> None:
+    def _arm_watchdog(self, delay: float) -> None:
         # A gracefully stopped master keeps watching rounds still in
         # flight (they must drain); a halted (crashed) one goes silent.
         if not self.inflight or self._halted:
             return
-        seq = self._progress_seq
-        self.node.scheduler.call_later(
-            self.node.config.stall_timeout, lambda: self._watchdog(seq)
-        )
+        self._watchdog_armed = True
+        self.node.scheduler.call_later(delay, self._watchdog)
 
-    def _watchdog(self, seq: int) -> None:
-        if self._halted or seq != self._progress_seq or not self.inflight:
+    def _watchdog(self) -> None:
+        """The one stall timer.  Progress never re-arms it (asyncio
+        keeps cancelled handles in its heap): fired early, it sleeps
+        out what is left of ``stall_timeout`` since the last progress."""
+        self._watchdog_armed = False
+        deadline = self._last_progress + self.node.config.stall_timeout
+        remaining = deadline - self.node.scheduler.now()
+        if remaining > 0:
+            self._arm_watchdog(remaining)
+            return
+        if self._halted or not self.inflight:
             return
         for round_id in sorted(self.inflight):
             round_ = self.inflight.get(round_id)

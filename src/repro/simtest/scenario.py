@@ -40,6 +40,7 @@ DROPPABLE_PAYLOADS = (
     "OpBatch",
     "Hello",
     "Welcome",
+    "ApplyAck",  # appended: a seed that does not draw it keeps its scenario
 )
 
 #: All scenario workloads: the paper's two measurement workloads plus

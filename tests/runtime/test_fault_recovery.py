@@ -1,5 +1,7 @@
 """Fault recovery: lost signals, crashed machines, restarts."""
 
+import pytest
+
 from repro.net.faults import CrashPlan, DropPlan, ScheduledFaults
 from repro.runtime.config import SyncConfig
 from tests.helpers import Counter, quick_system, shared_counter
@@ -53,6 +55,37 @@ class TestLostSignalRecovery:
         recovered = [r for r in system.metrics.sync_records if r.recovered]
         assert len(recovered) == 1
         assert recovered[0].removals == 0
+        system.run_until_quiesced()
+        system.check_all_invariants()
+
+    @pytest.mark.parametrize("collection", ["concurrent", "sequential"])
+    def test_lost_apply_ack_healed_by_resend(self, collection):
+        """One lost ApplyAck costs one resend: the master's strike-1
+        BeginApply is re-acknowledged by a node that already applied,
+        so a machine that did everything right is never evicted."""
+        system, _faults = faulty_system(
+            drops=[
+                DropPlan(
+                    start=1.0,
+                    end=5.0,
+                    channel="signals",
+                    payload_type="ApplyAck",
+                    sender="m03",
+                    recipient="m01",
+                    max_drops=1,
+                )
+            ],
+            sync=SyncConfig(collection=collection),
+        )
+        system.run_for(20.0)
+        records = system.metrics.sync_records
+        recovered = [r for r in records if r.recovered]
+        assert len(recovered) == 1
+        assert recovered[0].resends == 1
+        assert 2.0 < recovered[0].duration < 4.0  # one stall timeout
+        assert sum(r.removals for r in records) == 0
+        assert all(m.restarts == 0 for m in system.metrics.node_metrics.values())
+        assert all(node.state == "active" for node in system.nodes.values())
         system.run_until_quiesced()
         system.check_all_invariants()
 

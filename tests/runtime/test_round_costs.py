@@ -1,10 +1,11 @@
 """What one round costs, as exact counts.
 
-Two structural costs of the round protocol, pinned without reading a
-clock: how many messages a round delivers, and how many times a
-broadcast serializes its payload.  Both fail if the structure regresses
-(a second ``FlushDone``, a per-peer frame, a per-peer re-encode); wall
-time is ``bench/``'s job (``docs/PROFILING.md``).
+The structural costs of the round protocol, pinned without reading a
+clock: how many messages a round delivers (and to whom), how many
+timers the master keeps, and how many times a broadcast serializes its
+payload.  Each fails if the structure regresses (an acknowledgement
+flooded to nodes that never read it, a timer per signal, a per-peer
+re-encode); wall time is ``bench/``'s job (``docs/PROFILING.md``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.runtime import messages as msg
-from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import RuntimeConfig, SyncConfig
 from repro.transport import netmesh
 from repro.transport.loopback import LoopbackCluster
 from tests.helpers import quick_system, shared_counter
@@ -51,24 +52,37 @@ def _one_round(system) -> tuple[dict[str, int], int, int]:
     )
 
 
-@pytest.mark.parametrize("n, signals_per_round", [(2, 7), (3, 18), (5, 52)])
+ROUND_SIGNALS = ("StartSync", "FlushDone", "BeginApply", "ApplyAck", "SyncComplete")
+
+
+def _watch_acknowledgements(system) -> set[str]:
+    """Collect every recipient a ``FlushDone`` / ``ApplyAck`` is delivered to."""
+    recipients: set[str] = set()
+
+    def observe(event: str, info: dict) -> None:
+        if event == "deliver" and info["payload"] in ("FlushDone", "ApplyAck"):
+            recipients.add(info["recipient"])
+
+    system.meshes.signals.observers.append(observe)
+    return recipients
+
+
+@pytest.mark.parametrize(
+    "n, signals_per_round", [(2, 5), (3, 10), (5, 20), (9, 40)]
+)
 def test_messages_per_round(n, signals_per_round):
     """A fault-free concurrent round among N founding nodes delivers
-    (N-1)(2N+3) signals — three master broadcasts and two all-to-all
-    acknowledgements — plus one op frame per flushing node per peer."""
+    5(N-1) signals — three master broadcasts and two acknowledgements
+    sent to the master alone — plus one op frame per flushing node per
+    peer."""
     system = quick_system(n=n, sync_interval=SYNC_INTERVAL)
     assert system.config.sync.collection == "concurrent"
+    acknowledged = _watch_acknowledgements(system)
     replicas, _uid = shared_counter(system)
     _finish_round(system)
 
-    signal_shape = {
-        "StartSync": n - 1,
-        "BeginApply": n - 1,
-        "SyncComplete": n - 1,
-        "FlushDone": n * (n - 1),
-        "ApplyAck": n * (n - 1),
-    }
-    assert sum(signal_shape.values()) == signals_per_round == (n - 1) * (2 * n + 3)
+    signal_shape = dict.fromkeys(ROUND_SIGNALS, n - 1)
+    assert sum(signal_shape.values()) == signals_per_round == 5 * (n - 1)
 
     # Idle: the signals alone, and no op frame at all.
     assert _one_round(system) == (signal_shape, signals_per_round, 0)
@@ -83,7 +97,55 @@ def test_messages_per_round(n, signals_per_round):
     assert system.metrics.sync_records[-1].ops_committed == 3 * n
 
     assert _one_round(system) == (signal_shape, signals_per_round, 0)
+    # Only the master reads the acknowledgements, so only it gets them.
+    assert acknowledged == {system.master_node.machine_id}
     system.check_all_invariants()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_messages_per_sequential_round(n):
+    """The paper's serial collection adds one ``YourTurn`` per slave (the
+    master takes its own turn without the mesh): 6(N-1) signals."""
+    system = quick_system(
+        n=n, sync_interval=SYNC_INTERVAL, sync=SyncConfig(collection="sequential")
+    )
+    acknowledged = _watch_acknowledgements(system)
+    _finish_round(system)
+
+    signal_shape = dict.fromkeys(ROUND_SIGNALS + ("YourTurn",), n - 1)
+    assert _one_round(system) == (signal_shape, 6 * (n - 1), 0)
+    assert acknowledged == {system.master_node.machine_id}
+
+
+def test_frames_per_round_over_sockets():
+    """The same count where a signal is a frame on a TCP link: ten per
+    idle round at N = 3."""
+    cluster = LoopbackCluster(3, config=RuntimeConfig(sync_interval=0.02))
+    try:
+        cluster.boot()
+        cluster.start(first_sync_delay=0.05)  # after the links are up
+        cluster.run_for(0.35)
+        cluster.stop()
+        cluster.run_for(0.2)  # rounds in flight drain; nothing new starts
+        assert not cluster.master_node.master.inflight
+        rounds = len(cluster.metrics.sync_records)
+        assert rounds >= 3
+        frames = sum(t.stats.frames_sent for t in cluster.transports.values())
+        assert frames == 10 * rounds
+        assert cluster.loop.errors == []
+    finally:
+        cluster.shutdown()
+
+
+def test_master_keeps_one_watchdog_timer():
+    """Progress only records when it happened; the number of pending
+    timers does not grow with the rounds run inside ``stall_timeout``."""
+    system = quick_system(n=9, sync_interval=SYNC_INTERVAL, stall_timeout=1000.0)
+    system.run_for(5.0)
+    early = system.loop.pending_count
+    system.run_for(10.0)
+    assert len(system.metrics.sync_records) >= 25
+    assert system.loop.pending_count == early <= 2  # next round + watchdog
 
 
 @pytest.mark.parametrize("n", [2, 5])

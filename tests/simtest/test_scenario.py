@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.simtest import scenario
 from repro.simtest.scenario import (
     WORKLOADS,
     ScenarioSpec,
@@ -63,11 +64,27 @@ class TestGeneration:
             assert spec.duration >= 30.0
             assert spec.workload in WORKLOADS
 
-    def test_retiring_the_lever_draws_moved_no_other_field(self):
+    def test_retiring_the_lever_draws_moved_no_other_field(self, monkeypatch):
+        # One deliberate change to the draws since the capture: PR 23
+        # appended "ApplyAck" to the droppable payloads.  Left out here,
+        # every field must still hash to the captured value.
+        monkeypatch.setattr(
+            scenario,
+            "DROPPABLE_PAYLOADS",
+            tuple(p for p in scenario.DROPPABLE_PAYLOADS if p != "ApplyAck"),
+        )
         for seed, expected in enumerate(PRE_RETIREMENT_SPEC_FINGERPRINTS):
             canonical = json.dumps(generate_scenario(seed).to_dict(), sort_keys=True)
             digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
             assert digest == expected, f"seed {seed} generates a different scenario"
+
+    def test_sweep_targets_every_round_signal_a_master_waits_for(self):
+        dropped = {
+            drop.payload_type
+            for seed in range(100)
+            for drop in generate_scenario(seed).drops
+        }
+        assert {"FlushDone", "ApplyAck", "YourTurn", "BeginApply"} <= dropped
 
     def test_sweep_spreads_over_six_round_protocol_configurations(self):
         specs = [generate_scenario(seed) for seed in range(100)]
