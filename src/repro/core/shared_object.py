@@ -11,7 +11,10 @@ can be overridden:
 
 * ``get_state`` / ``set_state`` — the wire format used to ship initial
   state to other machines and to snapshot committed state for late
-  joiners.  The default deep-copies the instance ``__dict__``.
+  joiners.  The default copies the instance ``__dict__`` with
+  :func:`copy_plain`: lists and dicts are rebuilt by a direct walk, and
+  only a value that is neither (a tuple, a set, a subclass, an arbitrary
+  object) pays for ``copy.deepcopy``.
 * ``clone`` — builds a fresh replica (used by copy-on-write).  The
   default requires a no-argument constructor, which mirrors the paper's
   ``CreateInstance(typeof(...))`` pattern.
@@ -26,6 +29,32 @@ from repro.errors import SharedObjectError
 
 #: Attribute names the runtime plants on replicas; never part of state.
 _RUNTIME_FIELDS = ("_g_unique_id",)
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def copy_plain(value: Any) -> Any:
+    """An independent copy of ``value``, cheap when it is plain data.
+
+    Scalars are returned as they are, exact ``list`` and exact ``dict``
+    are rebuilt recursively (keys are kept: they are hashable), anything
+    else falls back to ``copy.deepcopy``.  State must be JSON-plain to
+    ship at all, so like JSON this keeps no memo: aliasing inside a
+    value is not preserved.
+    """
+    cls = type(value)
+    if cls is list:
+        return [
+            item if type(item) in _SCALARS else copy_plain(item) for item in value
+        ]
+    if cls is dict:
+        return {
+            key: item if type(item) in _SCALARS else copy_plain(item)
+            for key, item in value.items()
+        }
+    if cls in _SCALARS:
+        return value
+    return copy.deepcopy(value)
 
 
 class GSharedObject:
@@ -69,13 +98,13 @@ class GSharedObject:
     # -- state transfer ------------------------------------------------------
 
     def get_state(self) -> dict[str, Any]:
-        """Return a deep copy of the shared state as a dict.
+        """Return an independent copy of the shared state as a dict.
 
-        Default: every instance attribute except runtime-internal ones.
-        Override when the class holds non-copyable resources.
+        Default: :func:`copy_plain` of every instance attribute except
+        runtime-internal ones.  Override for non-copyable resources.
         """
         return {
-            key: copy.deepcopy(value)
+            key: copy_plain(value)
             for key, value in self.__dict__.items()
             if key not in _RUNTIME_FIELDS
         }
@@ -86,7 +115,7 @@ class GSharedObject:
             if key not in _RUNTIME_FIELDS:
                 del self.__dict__[key]
         for key, value in state.items():
-            self.__dict__[key] = copy.deepcopy(value)
+            self.__dict__[key] = copy_plain(value)
 
     def clone(self) -> "GSharedObject":
         """Build a fresh replica with the same state (copy-on-write)."""

@@ -19,9 +19,9 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
-from repro.spec.contracts import set_checking
+from repro.spec.contracts import set_checking, state_of
 from repro.spec.domains import Domain
 
 #: A specification φs ⊆ S×S, given old and new state dicts plus args.
@@ -81,7 +81,7 @@ def _run_conformance_cases(method_name, states, rng, budget, arg_pool, spec, rep
     for obj in states.iterate(rng, budget):
         call_args = tuple(arg_pool[report.cases % len(arg_pool)])
         report.cases += 1
-        before = _state_of(obj)
+        before = state_of(obj)
         method = getattr(obj, method_name)
         try:
             result = method(*call_args)
@@ -91,7 +91,7 @@ def _run_conformance_cases(method_name, states, rng, budget, arg_pool, spec, rep
                 f"(state={before}, args={call_args})"
             )
             continue
-        after = _state_of(obj)
+        after = state_of(obj)
         if result:
             report.successes += 1
             if not spec(before, after, call_args):
@@ -146,13 +146,13 @@ def _run_or_else_cases(
     for obj in states.iterate(rng, budget):
         call_args = tuple(arg_pool[report.cases % len(arg_pool)])
         report.cases += 1
-        before = _state_of(obj)
+        before = state_of(obj)
         attempt = copy.deepcopy(obj)
         result = getattr(attempt, first_name)(*call_args)
         if not result:
             attempt = copy.deepcopy(obj)
             result = getattr(attempt, second_name)(*call_args)
-        after = _state_of(attempt)
+        after = state_of(attempt)
         if result:
             report.successes += 1
             if not spec(before, after, call_args):
@@ -168,14 +168,3 @@ def _run_or_else_cases(
                     f"state (state={before}, args={call_args})"
                 )
     return report
-
-
-def _state_of(obj: Any) -> dict[str, Any]:
-    get_state = getattr(obj, "get_state", None)
-    if callable(get_state):
-        return get_state()
-    return {
-        key: copy.deepcopy(value)
-        for key, value in vars(obj).items()
-        if not key.startswith("_g_")
-    }

@@ -18,8 +18,11 @@ Checking is global and switchable: ``set_checking(True)`` (default)
 wraps every contracted call with precondition, postcondition,
 frame (modifies) and invariant checks, raising
 :class:`~repro.errors.ContractViolation` on failure — this is Spec#'s
-"translated into runtime checks" mode.  Benchmarks call
-``set_checking(False)`` and pay nothing but one flag test per call.
+"translated into runtime checks" mode.  A checked call copies the
+object's fields once, before the body runs: the conformance and frame
+checks compare the live fields with that copy and ``ensures`` clauses
+receive it as ``old``.  After ``set_checking(False)`` a call pays
+nothing but one flag test.
 
 Every declared clause is also recorded as an :class:`Assertion` so the
 verifier can attempt a static (bounded-exhaustive) proof of it.
@@ -31,6 +34,7 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.core.shared_object import copy_plain
 from repro.errors import ContractViolation
 
 _CHECKING = True
@@ -91,21 +95,22 @@ def _wrap(fn: Callable) -> Callable:
         _check_invariants(self, subject, "entry")
         old = _snapshot(self)
         result = fn(self, *args, **kwargs)
-        if result is False and _snapshot(self) != old:
-            raise ContractViolation(
-                "conformance",
-                "operation returned False but modified shared state",
-                subject,
-            )
-        if spec.modifies is not None:
-            new = _snapshot(self)
-            for field_name, old_value in old.items():
-                if field_name not in spec.modifies and new.get(field_name) != old_value:
-                    raise ContractViolation(
-                        "modifies",
-                        f"field {field_name!r} changed but is not in the frame",
-                        subject,
-                    )
+        if result is False or spec.modifies is not None:
+            changed = _changed_fields(self, old)
+            if result is False and changed:
+                raise ContractViolation(
+                    "conformance",
+                    "operation returned False but modified shared state",
+                    subject,
+                )
+            if spec.modifies is not None:
+                for field_name in changed:
+                    if field_name not in spec.modifies:
+                        raise ContractViolation(
+                            "modifies",
+                            f"field {field_name!r} changed but is not in the frame",
+                            subject,
+                        )
         for clause in spec.ensures:
             if not clause.predicate(old, self, result, *args, **kwargs):
                 raise ContractViolation("ensures", clause.description, subject)
@@ -135,7 +140,8 @@ def ensures(predicate: Callable, description: str = "postcondition"):
     """Declare a postcondition ``predicate(old, self, result, *args)``.
 
     ``old`` is a dict snapshot of the instance fields before the call
-    (compare e.g. ``old["grid"]`` with ``self.grid``).
+    (compare e.g. ``old["grid"]`` with ``self.grid``).  It shares nothing
+    with the live object and is the only copy a checked call makes.
     """
 
     def decorate(fn: Callable) -> Callable:
@@ -207,15 +213,31 @@ def _check_invariants(obj: Any, subject: str, where: str) -> None:
             )
 
 
-def _snapshot(obj: Any) -> dict[str, Any]:
-    """Deep-ish snapshot of instance fields for frame/conformance checks."""
-    import copy
+_ABSENT = object()
 
+
+def _snapshot(obj: Any) -> dict[str, Any]:
+    """Independent copy of the instance fields (runtime ``_g_`` ones excluded)."""
     return {
-        key: copy.deepcopy(value)
+        key: copy_plain(value)
         for key, value in obj.__dict__.items()
         if not key.startswith("_g_")
     }
+
+
+def _changed_fields(obj: Any, old: dict[str, Any]) -> list[str]:
+    """Fields whose live value differs from ``old``; created and deleted count."""
+    live = obj.__dict__
+    changed = [key for key, then in old.items() if live.get(key, _ABSENT) != then]
+    return changed + [
+        key for key in live if key not in old and not key.startswith("_g_")
+    ]
+
+
+def state_of(obj: Any) -> dict[str, Any]:
+    """``obj.get_state()`` where there is one, else the contract snapshot."""
+    get_state = getattr(obj, "get_state", None)
+    return get_state() if callable(get_state) else _snapshot(obj)
 
 
 def contract_assertions(cls: type) -> list[Assertion]:

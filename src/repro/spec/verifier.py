@@ -29,7 +29,7 @@ import random
 from typing import Any, Callable
 
 from repro.errors import SpecError
-from repro.spec.contracts import set_checking
+from repro.spec.contracts import set_checking, state_of
 from repro.spec.domains import Domain, product
 from repro.spec.report import AssertionOutcome, AssertionResult, VerificationReport
 
@@ -127,12 +127,12 @@ class Verifier:
                 obj = copy.deepcopy(obj)  # product() reuses state objects
                 if self._safe_pred(clause.predicate, obj, *call_args):
                     return True  # precondition holds; nothing to refute here
-                before = _state_of(obj)
+                before = state_of(obj)
                 try:
                     result = raw(obj, *call_args)
                 except Exception:
                     return False  # crashed on bad input
-                return result is False and _state_of(obj) == before
+                return result is False and state_of(obj) == before
 
             outcome, count, cex = self._quantify(cases, defensive)
             report.results.append(
@@ -148,7 +148,7 @@ class Verifier:
                 obj = copy.deepcopy(obj)
                 if not preconditions_hold(obj, call_args):
                     return True
-                before = _state_of(obj)
+                before = state_of(obj)
                 result = raw(obj, *call_args)
                 return bool(clause.predicate(before, obj, result, *call_args))
 
@@ -165,9 +165,9 @@ class Verifier:
             obj = copy.deepcopy(obj)
             if not preconditions_hold(obj, call_args):
                 return True
-            before = _state_of(obj)
+            before = state_of(obj)
             result = raw(obj, *call_args)
-            return result is not False or _state_of(obj) == before
+            return result is not False or state_of(obj) == before
 
         outcome, count, cex = self._quantify(cases, conformant)
         report.results.append(
@@ -300,17 +300,6 @@ def _contracted_members(cls: type) -> list[str]:
             if getattr(member, "__gspec__", None) is not None:
                 names.add(name)
     return sorted(names)
-
-
-def _state_of(obj: Any) -> dict[str, Any]:
-    get_state = getattr(obj, "get_state", None)
-    if callable(get_state):
-        return get_state()
-    return {
-        key: copy.deepcopy(value)
-        for key, value in vars(obj).items()
-        if not key.startswith("_g_")
-    }
 
 
 def _describe_case(case: Any) -> Any:
