@@ -24,7 +24,8 @@ from repro.core.operations import (
     PrimitiveOp,
     SharedOp,
 )
-from repro.core.shared_object import GSharedObject, validate_shared_class
+from repro.core.shared_object import _RUNTIME_FIELDS, GSharedObject
+from repro.core.shared_object import validate_shared_class
 
 _TYPE_REGISTRY: dict[str, Type[GSharedObject]] = {}
 
@@ -147,6 +148,22 @@ def encode_state(obj: GSharedObject) -> dict[str, Any]:
     state = obj.get_state()
     _check_plain(state)
     return {"type": type(obj).__name__, "state": state}
+
+
+def dumps_state(obj: GSharedObject, fields: dict[str, Any]) -> str:
+    """``fields`` plus the object's ``type`` and ``state`` as JSON text,
+    in one ``json.dumps`` (the plainness check) and without
+    :func:`encode_state`'s copy: the text is done before the object can
+    change, so the default ``get_state`` yields to the live fields."""
+    if type(obj).get_state is GSharedObject.get_state:
+        state = {k: v for k, v in obj.__dict__.items() if k not in _RUNTIME_FIELDS}
+    else:
+        state = obj.get_state()
+    document = {**fields, "type": type(obj).__name__, "state": state}
+    try:
+        return json.dumps(document, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"{type(obj).__name__} state is not plain") from exc
 
 
 def decode_state(data: dict[str, Any]) -> GSharedObject:

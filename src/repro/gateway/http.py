@@ -105,7 +105,9 @@ _STATUS_TEXT = {
 
 
 def json_response(status: int, payload) -> bytes:
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    """``payload`` is a JSON-able value, or a ``str`` of JSON text."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True)
+    body = text.encode("utf-8")
     reason = _STATUS_TEXT.get(status, "Unknown")
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"

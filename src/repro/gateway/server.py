@@ -23,8 +23,9 @@ paper's defining intermediate state.
 ``GET /ws`` upgrades to a WebSocket that streams:
 
 * ``{"event": "delta", "object", "version", "type", "state"}`` whenever
-  a shared object's guesstimated state changes version (the PR 4
-  versioned-store stamps make change detection O(objects) per poll);
+  a shared object's guesstimated state changes version — scanned at
+  every guess refresh, and within ``poll_interval`` of a local issue
+  (the versioned-store stamps make a scan O(objects));
 * ``{"event": "removed", "object"}`` when an object disappears;
 * ``{"event": "ticket", "ticket", "status", "commit_result"}`` when an
   operation issued through this gateway commits or is rejected.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.core.serialization import encode_state, resolve_shared_type
+from repro.core.serialization import dumps_state, resolve_shared_type
 from repro.errors import (
     GatewayError,
     GuesstimateError,
@@ -89,14 +90,13 @@ class _Subscriber:
 
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
-        #: queue of pre-encoded frames (bytes) or raw event dicts
-        self.queue: asyncio.Queue = asyncio.Queue()
+        self.queue: asyncio.Queue = asyncio.Queue()  # of ready WS frames
         self.seen: dict[str, int] = {}  # object id -> last pushed version
         self.closed = False
 
-    def push(self, event: dict | bytes) -> None:
+    def push(self, frame: bytes) -> None:
         if not self.closed:
-            self.queue.put_nowait(event)
+            self.queue.put_nowait(frame)
 
 
 class GatewayServer:
@@ -112,12 +112,18 @@ class GatewayServer:
         self.node = node
         self.host = host
         self.port = port  # updated to the bound port by start()
+        #: the longest a local issue waits to reach the stream
         self.poll_interval = poll_interval
         self.tickets: dict[str, object] = {}
         self._ticket_counter = 0
         self.subscribers: list[_Subscriber] = []
         self._server: asyncio.base_events.Server | None = None
         self._pump_task: asyncio.Task | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._wake = asyncio.Event()  # set: the pump owes a scan
+        self._last_scan = float("-inf")
+        self._store = None  # the guess store the last scan read
+        self._issue_timer: asyncio.TimerHandle | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -126,10 +132,17 @@ class GatewayServer:
             self._handle_conn, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._pump_task = asyncio.get_running_loop().create_task(self._delta_pump())
+        self._loop = asyncio.get_running_loop()
+        self.node.guess_watchers.append(self._on_guess_changed)
+        self._pump_task = self._loop.create_task(self._delta_pump())
         return self.host, self.port
 
     async def stop(self) -> None:
+        if self._on_guess_changed in self.node.guess_watchers:
+            self.node.guess_watchers.remove(self._on_guess_changed)
+        if self._issue_timer is not None:
+            self._issue_timer.cancel()
+            self._issue_timer = None
         if self._pump_task is not None:
             self._pump_task.cancel()
             try:
@@ -171,7 +184,7 @@ class GatewayServer:
             except OSError:  # pragma: no cover - already torn down
                 pass
 
-    def _route(self, request: HttpRequest) -> tuple[int, dict]:
+    def _route(self, request: HttpRequest) -> tuple[int, dict | str]:
         try:
             return self._dispatch(request)
         except SharedObjectError as exc:
@@ -191,7 +204,7 @@ class GatewayServer:
             # daemon's connection handler down without a response.
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
-    def _dispatch(self, request: HttpRequest) -> tuple[int, dict]:
+    def _dispatch(self, request: HttpRequest) -> tuple[int, dict | str]:
         method, path = request.method, request.path.rstrip("/") or "/"
         parts = [p for p in path.split("/") if p]
 
@@ -241,7 +254,7 @@ class GatewayServer:
             "committed": node.completed_offset + node.model.completed_count,
         }
 
-    def _object_info(self, unique_id: str) -> dict:
+    def _object_info(self, unique_id: str) -> str:
         store = self.node.model.guess
         if not store.has(unique_id):
             store = self.node.model.committed
@@ -249,13 +262,9 @@ class GatewayServer:
             from repro.errors import UnknownObjectError
 
             raise UnknownObjectError(unique_id)
-        encoded = encode_state(store.get(unique_id))
-        return {
-            "id": unique_id,
-            "type": encoded["type"],
-            "state": encoded["state"],
-            "version": store.version(unique_id),
-        }
+        return dumps_state(
+            store.get(unique_id), {"id": unique_id, "version": store.version(unique_id)}
+        )
 
     def _create_instance(self, body: dict) -> tuple[int, dict]:
         type_name = body.get("type")
@@ -332,6 +341,7 @@ class GatewayServer:
         await writer.drain()
         subscriber = _Subscriber(writer)
         self.subscribers.append(subscriber)
+        self._on_guess_changed(False)  # behind on everything, like an issue
         sender = asyncio.get_running_loop().create_task(self._ws_sender(subscriber))
         try:
             while True:
@@ -353,12 +363,7 @@ class GatewayServer:
 
     async def _ws_sender(self, subscriber: _Subscriber) -> None:
         while not subscriber.closed:
-            event = await subscriber.queue.get()
-            data = (
-                event
-                if isinstance(event, (bytes, bytearray))
-                else _encode_ws_event(event)
-            )
+            data = await subscriber.queue.get()
             try:
                 subscriber.writer.write(data)
                 await subscriber.writer.drain()
@@ -373,49 +378,58 @@ class GatewayServer:
         for subscriber in self.subscribers:
             subscriber.push(data)
 
-    async def _delta_pump(self) -> None:
-        """Push guess-store changes to every subscriber.
+    def _on_guess_changed(self, refresh: bool) -> None:
+        """A refresh wakes the pump now (wakes in one tick coalesce); so
+        does a local issue after a quiet spell, else it arms one timer
+        for ``poll_interval`` after the last scan, which a scan cancels."""
+        due = self._last_scan + self.poll_interval - self._loop.time()
+        if refresh or due <= 0:
+            self._wake.set()
+        elif self._issue_timer is None:
+            self._issue_timer = self._loop.call_later(due, self._wake.set)
 
-        Polls the versioned store's stamps (cheap integer compares; the
-        expensive ``encode_state`` runs only for objects that actually
-        changed).  ``self.node.model`` is re-read every scan so the pump
-        survives node restarts, which replace the model wholesale.
-        """
+    async def _delta_pump(self) -> None:
+        """One scan each time the node says ``sg`` may have changed."""
         while True:
-            await asyncio.sleep(self.poll_interval)
-            if not self.subscribers:
-                continue
-            store = self.node.model.guess
-            current_ids = set(store.ids())
-            # One scan encodes each changed object once — state encode,
-            # JSON render and WS framing are all shared; subscribers
-            # differ only in *which* cached frames they are behind on.
-            frame_cache: dict[tuple[str, int], bytes] = {}
-            removed_cache: dict[str, bytes] = {}
-            for subscriber in list(self.subscribers):
-                for unique_id in sorted(current_ids):
-                    version = store.version(unique_id)
-                    if subscriber.seen.get(unique_id) == version:
-                        continue
-                    data = frame_cache.get((unique_id, version))
-                    if data is None:
-                        encoded = encode_state(store.get(unique_id))
-                        data = _encode_ws_event(
-                            {
-                                "event": "delta",
-                                "object": unique_id,
-                                "version": version,
-                                "type": encoded["type"],
-                                "state": encoded["state"],
-                            }
-                        )
-                        frame_cache[(unique_id, version)] = data
-                    subscriber.seen[unique_id] = version
+            await self._wake.wait()
+            self._wake.clear()
+            self._scan()
+
+    def _scan(self) -> None:
+        """Push guess-store changes to every subscriber: integer stamp
+        compares, and a frame rendered only for an object that changed.
+        ``node.model`` is re-read, as a restart replaces it wholesale."""
+        self._last_scan = self._loop.time()
+        if self._issue_timer is not None:
+            self._issue_timer.cancel()
+            self._issue_timer = None
+        if not self.subscribers:
+            return
+        store = self.node.model.guess
+        if store is not self._store:  # a restart: old stamps mean nothing
+            self._store = store
+            for subscriber in self.subscribers:
+                subscriber.seen = dict.fromkeys(subscriber.seen, -1)
+        current = {uid: store.version(uid) for uid in sorted(store.ids())}
+        # One scan renders each changed object once; subscribers differ
+        # only in *which* frames they are behind on.
+        frames: dict[str, bytes] = {}
+        for subscriber in list(self.subscribers):
+            seen = subscriber.seen
+            for unique_id, version in current.items():
+                if seen.get(unique_id) == version:
+                    continue
+                seen[unique_id] = version
+                data = frames.get(unique_id)
+                if data is None:
+                    fields = {"event": "delta", "object": unique_id, "version": version}
+                    try:
+                        data = ws_text_frame(dumps_state(store.get(unique_id), fields))
+                    except SerializationError:  # e.g. a set written by an op
+                        data = b""  # skip this version; the rest streams on
+                    frames[unique_id] = data
+                if data:
                     subscriber.push(data)
-                for gone in [u for u in subscriber.seen if u not in current_ids]:
-                    del subscriber.seen[gone]
-                    data = removed_cache.get(gone)
-                    if data is None:
-                        data = _encode_ws_event({"event": "removed", "object": gone})
-                        removed_cache[gone] = data
-                    subscriber.push(data)
+            for gone in [u for u in seen if u not in current]:
+                del seen[gone]
+                subscriber.push(_encode_ws_event({"event": "removed", "object": gone}))

@@ -94,6 +94,9 @@ class GuesstimateNode(Host):
         self.on_welcome: Callable[[], None] | None = None
         #: unique id -> callbacks fired after remote ops change it
         self._remote_callbacks: dict[str, list[Callable[[str], None]]] = {}
+        #: told ``sg`` may have changed: True after a refresh (a round, a
+        #: Welcome), False after a local issue; survives :meth:`restart`
+        self.guess_watchers: list[Callable[[bool], None]] = []
 
     # -- convenience accessors --------------------------------------------------
 
@@ -367,6 +370,7 @@ class GuesstimateNode(Host):
         # them to the refreshed guesstimate ([P](sc) = sg) so they can
         # flush in the next round.
         self.replay_pending()
+        self.guess_changed(True)
         self.state = GuesstimateNode.STATE_ACTIVE
         self.signals_mesh.send(
             self.machine_id, welcome.master_id, msg.WelcomeAck(self.machine_id)
@@ -411,6 +415,7 @@ class GuesstimateNode(Host):
             else:
                 self._load_welcome_snapshot(welcome)
             self.replay_pending()
+            self.guess_changed(True)
             self.trace(
                 Tracer.MEMBERSHIP,
                 action="catch_up_welcome",
@@ -467,6 +472,10 @@ class GuesstimateNode(Host):
         for entry in self.model.replay_pending():
             self.metrics.record_execution(entry.key)
 
+    def guess_changed(self, refresh: bool) -> None:
+        for watcher in self.guess_watchers:
+            watcher(refresh)
+
     # -- Host protocol (what the facade needs) ---------------------------------------
 
     def now(self) -> float:
@@ -485,6 +494,7 @@ class GuesstimateNode(Host):
         self.metrics.ops_issued += 1
         self.metrics.record_execution(entry.key)
         self.trace(Tracer.ISSUE, key=str(entry.key), op=entry.op.describe())
+        self.guess_changed(False)
 
     def notify_rejected(self, op) -> None:
         self.metrics.ops_rejected_at_issue += 1

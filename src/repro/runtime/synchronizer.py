@@ -534,6 +534,7 @@ class Synchronizer:
                 f"{round_state.round_id}: refreshed sg != [P](sc)"
             )
         node.fire_remote_updates(remote_touched)
+        node.guess_changed(True)
 
         def end_update() -> None:
             node.exit_window("update")

@@ -73,8 +73,10 @@ class TestWebSocket:
             issued = client.invoke(uid, "increment", 100)
             client.wait_ticket(issued["ticket"], timeout=15.0)
 
-            # The guess delta (value already 1) streams at issue time;
-            # the ticket event follows at commit.  Read until both seen.
+            # The guess delta (value already 1) streams within
+            # poll_interval of the issue, or at the next guess refresh
+            # if that comes first; the ticket event follows at commit.
+            # Read until both seen.
             ticket_events, best_delta = [], None
             for _ in range(40):  # bounded: the stream also carries deltas
                 event = ws.recv_json(timeout=10.0)

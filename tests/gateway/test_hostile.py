@@ -10,15 +10,37 @@ which every test checks with a final ``client.health()``.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import struct
 
 import pytest
 
+from repro.core.serialization import shared_type
+from repro.core.shared_object import GSharedObject
 from repro.errors import GatewayError
+from repro.gateway import GatewayServer
+from repro.gateway.client import GatewayClient
 from repro.gateway.http import ws_frame, WS_PING
+from repro.runtime.config import RuntimeConfig
+from repro.transport.loopback import LoopbackCluster
 from tests.helpers import Counter  # registers the Counter shared type
+
+
+@shared_type
+class SetBox(GSharedObject):
+    """An operation body that writes a ``set``: state no JSON can carry."""
+
+    def __init__(self):
+        self.items = []
+
+    def copy_from(self, src: "SetBox") -> None:
+        self.items = type(src.items)(src.items)
+
+    def put(self, item: int) -> bool:
+        self.items = {item}
+        return True
 
 
 def _raw_conn(client) -> socket.socket:
@@ -216,3 +238,41 @@ class TestOpFlood:
             client.wait_ticket(ticket, timeout=15.0)
         assert client.object(uid)["state"]["value"] == 5
         assert client.health()["ok"]
+
+
+class TestUnrenderableObject:
+    """An object whose state cannot be rendered must not end the stream."""
+
+    def test_healthy_object_keeps_streaming_and_stop_is_clean(self):
+        cluster = LoopbackCluster(3, config=RuntimeConfig(sync_interval=0.1))
+        cluster.boot()
+        cluster.start(first_sync_delay=0.05)
+        gateway = GatewayServer(cluster.master_node, port=0, poll_interval=0.02)
+        cluster.run_in_thread()
+        loop = cluster.aio_loop
+        asyncio.run_coroutine_threadsafe(gateway.start(), loop).result(10)
+        client = GatewayClient(f"http://127.0.0.1:{gateway.port}", timeout=10.0)
+        ws = None
+        try:
+            bad = client.create_instance("SetBox")
+            good = client.create_instance("Counter")
+            ws = client.connect_ws()
+            # The guess now holds a set: this object's frame cannot render.
+            client.wait_ticket(client.invoke(bad, "put", 7)["ticket"], 15.0)
+            with pytest.raises(GatewayError, match="400"):
+                client.object(bad)
+            for expected in (1, 2):
+                client.wait_ticket(client.invoke(good, "increment", 100)["ticket"], 15.0)
+                while True:
+                    event = ws.recv_json(timeout=5.0)
+                    assert event.get("object") != bad or event["event"] != "delta"
+                    if event.get("object") == good and event["event"] == "delta":
+                        if event["state"]["value"] == expected:
+                            break
+            assert client.health()["ok"]
+        finally:
+            if ws is not None:
+                ws.close()
+            # Returns cleanly: the pump is still alive to be cancelled.
+            asyncio.run_coroutine_threadsafe(gateway.stop(), loop).result(10)
+            cluster.shutdown()
