@@ -5,7 +5,7 @@ different applications stress GUESSTIMATE's guess-then-commit model in
 different ways: Sudoku conflicts on cells, the marketplace loses whole
 Atomic settlements, the hostile profile is mostly rejected at issue.
 This experiment makes those profiles *measurable*: every workload runs
-the same faultless scenario shape (same cluster, same sync pipeline,
+the same faultless scenario shape (same cluster, same sync round shape,
 same duration), and the report shows per workload how attempted work
 splits into
 
@@ -49,7 +49,7 @@ _PROFILE = {
 
 
 def _faultless_spec(workload: str, seed: int, duration: float) -> ScenarioSpec:
-    """One comparable scenario: fixed cluster and pipeline, no faults —
+    """One comparable scenario: fixed cluster and round shape, no faults —
     conflicts in this report come from *concurrency*, not from chaos."""
     think_mean, n_grids = _PROFILE[workload]
     return ScenarioSpec(
@@ -57,7 +57,6 @@ def _faultless_spec(workload: str, seed: int, duration: float) -> ScenarioSpec:
         n_machines=4,
         collection="concurrent",
         batch_max_ops=8,
-        pipeline_depth=2,
         sync_interval=0.5,
         stall_timeout=2.5,
         snapshot_interval=4,

@@ -20,8 +20,8 @@ COLLECTION_MODES = ("sequential", "concurrent")
 
 @dataclass(frozen=True)
 class SyncConfig:
-    """Shape of the synchronization pipeline (stage-1 collection mode,
-    operation batching, and round pipelining).
+    """Shape of a synchronization round (stage-1 collection mode and
+    operation batching).  One round is in flight at a time.
 
     * ``collection`` — how the master collects pending operations:
       ``"concurrent"`` (the default; the paper's section-9 extension)
@@ -35,17 +35,10 @@ class SyncConfig:
     * ``batch_max_ops`` — flushed operations ride in size-capped
       :class:`~repro.runtime.messages.OpBatch` frames instead of one
       message per operation; this caps the entries per frame.
-    * ``pipeline_depth`` — maximum synchronization rounds in flight at
-      the master: with depth ``d > 1`` the master begins collecting
-      round ``k+1`` as soon as round ``k`` enters its apply stage,
-      overlapping collection with the previous round's commit+ack
-      latency.  Slaves always apply rounds in round-id order, so the
-      committed sequence is unaffected.  Depth 1 disables pipelining.
     """
 
     collection: str = "concurrent"
     batch_max_ops: int = 64
-    pipeline_depth: int = 1
 
     def __post_init__(self):
         if self.collection not in COLLECTION_MODES:
@@ -55,8 +48,6 @@ class SyncConfig:
             )
         if self.batch_max_ops < 1:
             raise ValueError("batch_max_ops must be >= 1")
-        if self.pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -107,9 +98,9 @@ class RuntimeConfig:
 
     # -- future-work extensions (paper section 9) ------------------------
 
-    #: Synchronization pipeline shape: stage-1 collection mode
-    #: (sequential token passing vs concurrent flush), OpBatch size
-    #: cap, and master-side round pipelining depth.
+    #: Synchronization round shape: stage-1 collection mode
+    #: (sequential token passing vs concurrent flush) and OpBatch size
+    #: cap.
     sync: SyncConfig = field(default_factory=SyncConfig)
 
     # -- durability (write-ahead log + snapshots + crash recovery) --------

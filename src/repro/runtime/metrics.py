@@ -31,8 +31,6 @@ class SyncRecord:
     removals: int = 0
     #: stage-1 collection mode the round ran under
     collection: str = "sequential"
-    #: True if collection began while an earlier round was still in flight
-    pipelined: bool = False
 
     @property
     def duration(self) -> float:

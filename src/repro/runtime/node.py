@@ -202,8 +202,6 @@ class GuesstimateNode(Host):
             or self.synchronizer.pending_completions
             or self._window is not None
         ):
-            from repro.errors import RuntimeFailure
-
             raise RuntimeFailure(
                 "cannot go offline mid-synchronization (operations are in "
                 "flight); retry after the round completes"
@@ -594,9 +592,9 @@ class GuesstimateNode(Host):
     def quiesced(self) -> bool:
         """True when nothing is pending locally or in flight.
 
-        Rounds the cluster still has in flight are accounted for by
+        A round the cluster still has in flight is accounted for by
         :func:`repro.runtime.system.cluster_quiesced` against the
-        master's round table — a per-node check cannot tell a live
+        master's open round — a per-node check cannot tell a live
         round from one whose SyncComplete was lost to a fault.
         """
         return (

@@ -29,12 +29,12 @@ entries each) followed by a
 :class:`~repro.runtime.messages.FlushDone` to the master.  No
 operations may be issued inside the flush window.
 
-**Round pipelining** (``SyncConfig.pipeline_depth > 1``): the master
-begins collecting round *k+1* while round *k*'s ``BeginApply``/acks
-are still in flight, keeping at most ``pipeline_depth`` rounds open.
-Every node applies rounds strictly in round-id order (a later round's
-consolidated list waits until every earlier known round has been
-applied), so pipelining changes latency, never the committed sequence.
+**One round in flight**, as in the paper: the master opens round *k+1*
+only after round *k* has finished, i.e. every participant of *k* has
+acknowledged it or been removed.  A removed machine is outside every
+later round until it re-enters through :meth:`Synchronizer.reset`, so
+no node ever holds an unapplied round below one it can apply, and
+rounds commit in round-id order without a node-side ordering guard.
 
 Stage 2 — **ApplyUpdatesFromMesh**.  The master broadcasts
 :class:`~repro.runtime.messages.BeginApply` with the authoritative
@@ -128,10 +128,8 @@ class Synchronizer:
         self.op_buffer: dict[int, dict[OpKey, dict]] = {}
         self.in_flight: dict[OpKey, PendingEntry] = {}
         self.pending_completions: list[tuple[PendingEntry, bool]] = []
-        #: committed-store ids touched by applied rounds whose guess
-        #: refresh has not run yet — the delta refresh drains this, so
-        #: with pipelining round k's refresh also covers round k+1's
-        #: already-applied ops (the naive full copy trivially did).
+        #: committed-store ids touched by the applied round whose guess
+        #: refresh has not run yet — the delta refresh drains this
         self.refresh_backlog: set[str] = set()
         #: participant order of the newest round signal seen
         #: (``GET /cluster`` reports it on a slave)
@@ -375,32 +373,10 @@ class Synchronizer:
                     ),
                 )
 
-    def _earlier_round_open(self, round_state: RoundState) -> bool:
-        """True while an earlier known round has not been applied yet.
-
-        With pipelining, round *k+1*'s consolidated list can be fully
-        collected before round *k* finishes — committing it early would
-        reorder C, so apply strictly in round-id order.
-        """
-        return any(
-            round_id < round_state.round_id
-            and not (state.applied or state.done)
-            for round_id, state in self.rounds.items()
-        )
-
-    def _nudge_later_rounds(self, round_id: int) -> None:
-        """Re-check rounds blocked behind ``round_id`` (in order)."""
-        for later_id in sorted(self.rounds):
-            if later_id > round_id:
-                self._try_apply(self.rounds[later_id])
-                break  # _apply recurses if further rounds are ready
-
     def _try_apply(self, round_state: RoundState) -> None:
         if self.evicted:
             return  # our committed prefix has a hole; wait for Restart
         if round_state.applied or round_state.done or not round_state.complete():
-            return
-        if self._earlier_round_open(round_state):
             return
         if round_state.missing_timer is not None:
             round_state.missing_timer.cancel()  # type: ignore[attr-defined]
@@ -485,8 +461,6 @@ class Synchronizer:
             self._update_guess(round_state, remote_touched)
 
         node.scheduler.after_work(node.config.apply_cpu(len(decoded)), ack_and_update)
-        # A pipelined later round may already be fully collected.
-        self._nudge_later_rounds(round_state.round_id)
 
     def _update_guess(
         self,
@@ -496,14 +470,12 @@ class Synchronizer:
         """Copy committed → guess, run completions, re-apply pending ops.
 
         The copy is a **delta refresh**: only committed-store ids the
-        applied-but-unrefreshed rounds touched (``refresh_backlog`` —
-        with pipelining that can cover several rounds at once, exactly
-        like the naive copy of the *current* committed store did),
-        objects the guess store dirtied replaying pending ops, and
-        membership changes are copied — O(touched state) per round
-        instead of the paper's literal O(total state) full copy
-        (``refresh_oracle=True`` cross-checks the delta against a full
-        shadow rebuild every round).
+        applied round touched (``refresh_backlog``), objects the guess
+        store dirtied replaying pending ops, and membership changes are
+        copied — O(touched state) per round instead of the paper's
+        literal O(total state) full copy (``refresh_oracle=True``
+        cross-checks the delta against a full shadow rebuild every
+        round).
         """
         node = self.node
         model = node.model
@@ -558,15 +530,13 @@ class Synchronizer:
             # The cluster committed a round we never applied (the master
             # can only finish a round after our ApplyAck or our removal,
             # so our ParticipantRemoved must have been lost).  Our
-            # committed prefix now has a hole: skipping ahead to later
-            # pipelined rounds would durably log a gapped history, so
-            # stop applying until the master's Restart rejoins us.
+            # committed prefix now has a hole: applying any later round
+            # would durably log a gapped history, so stop applying
+            # until the master's Restart rejoins us.
             self.evicted = True
             self.node.trace(
                 Tracer.RECOVERY, action="missed_commit", round=done.round_id
             )
-            return
-        self._nudge_later_rounds(done.round_id)
 
     def _on_participant_removed(self, removed: msg.ParticipantRemoved) -> None:
         round_state = self.rounds.get(removed.round_id)
@@ -575,9 +545,9 @@ class Synchronizer:
         if removed.machine_id == self.node.machine_id:
             # We were removed while alive (our signals were lost).  The
             # round will commit everywhere without us, leaving a hole in
-            # our prefix — applying later pipelined rounds over that
-            # hole would durably log a gapped history, so stop applying
-            # entirely; the Restart that follows rejoins us cleanly.
+            # our prefix — applying a later round over that hole would
+            # durably log a gapped history, so stop applying entirely;
+            # the Restart that follows rejoins us cleanly.
             round_state.done = True
             self.evicted = True
             self.node.trace(
@@ -611,7 +581,7 @@ class Synchronizer:
         if round_id <= self.last_done_round:
             # A resent signal arrived after the round's SyncComplete
             # popped it; recreating it would make an empty zombie round
-            # that blocks every later round's in-order apply.
+            # that re-applies or waits forever for ops nobody holds.
             return None
         if round_id not in self.rounds:
             state = RoundState(round_id, order)
@@ -636,13 +606,10 @@ class Synchronizer:
 class MasterControl:
     """Master-side round management, membership and stall recovery.
 
-    Rounds live in ``inflight`` keyed by round id.  Without pipelining
-    (``SyncConfig.pipeline_depth == 1``) at most one round is open at a
-    time, reproducing the paper's strictly phased protocol.  With depth
-    *d* the master opens collection for round *k+1* as soon as round
-    *k* reaches its apply stage, keeping at most *d* rounds in flight;
-    at most one round is ever in the flush stage, and rounds always
-    finish (``SyncComplete``) in round-id order.
+    At most one round is open at a time (``round``), reproducing the
+    paper's strictly phased protocol: the next-round timer is armed
+    only once the open round has finished.  A ``FlushDone`` or
+    ``ApplyAck`` that names any other round id is stale and ignored.
 
     Stalls are watched with one timer however many rounds and signals
     pass: progress only records its time (``_progress``), and the timer
@@ -653,7 +620,8 @@ class MasterControl:
         self.node = node
         self.participants: list[str] = [node.machine_id]
         self.round_counter = 0
-        self.inflight: dict[int, _MasterRound] = {}
+        #: the open round (None between rounds)
+        self.round: _MasterRound | None = None
         self.join_queue: list[str] = []
         self.awaiting_ack: set[str] = set()
         self.awaiting_restart: set[str] = set()
@@ -663,35 +631,14 @@ class MasterControl:
         #: id -> (machine_id, op_number) tail key of that recovered
         #: history, cross-checked before a delta Welcome is served
         self.recovered_tails: dict[str, tuple] = {}
-        #: when a round last moved (or started on an idle pipeline), and
-        #: whether the one watchdog timer that reads it is pending
+        #: when the open round last moved (or started), and whether the
+        #: one watchdog timer that reads it is pending
         self._last_progress = 0.0
         self._watchdog_armed = False
         self._next_round_timer: object | None = None
         self._stopped = False
         self._halted = False  # hard stop (crash): no recovery actions either
         self.running = False  # set once start() schedules the first round
-
-    # -- round bookkeeping -----------------------------------------------------------
-
-    @property
-    def current(self) -> "_MasterRound | None":
-        """The oldest in-flight round (None when the pipeline is idle)."""
-        if not self.inflight:
-            return None
-        return self.inflight[min(self.inflight)]
-
-    @property
-    def collecting(self) -> "_MasterRound | None":
-        """The round currently in its flush stage, if any (at most one)."""
-        for round_ in self.inflight.values():
-            if round_.stage == "flush":
-                return round_
-        return None
-
-    @property
-    def pipeline_depth(self) -> int:
-        return self.node.config.sync.pipeline_depth
 
     # -- round lifecycle -----------------------------------------------------------
 
@@ -710,43 +657,18 @@ class MasterControl:
     def stop(self, hard: bool = False) -> None:
         """Stop initiating rounds.  ``hard`` (crash simulation) also
         silences the watchdog; a graceful stop keeps driving recovery
-        for rounds already in flight."""
+        for the round already in flight."""
         self._stopped = True
         if hard:
             self._halted = True
         if self._next_round_timer is not None:
             self._next_round_timer.cancel()  # type: ignore[attr-defined]
 
-    def _schedule_next_round(self) -> None:
-        """Arm the next-round timer if the pipeline has room.
-
-        Joins are only processed on an idle pipeline (the paper
-        welcomes between rounds), so while joiners wait the pipeline is
-        drained rather than extended.
-        """
-        if self._stopped or not self.running:
-            return
-        if self._next_round_timer is not None:
-            return
-        if self.collecting is not None or len(self.inflight) >= self.pipeline_depth:
-            return
-        if self.inflight and (self.join_queue or self.awaiting_ack):
-            return  # drain so the joiners can be welcomed
-        self._next_round_timer = self.node.scheduler.call_later(
-            self.node.config.sync_interval, self.start_round
-        )
-
     def start_round(self) -> None:
         self._next_round_timer = None
-        if self._stopped:
-            return
-        if self.collecting is not None or len(self.inflight) >= self.pipeline_depth:
-            return  # raced; the blocking round reschedules as it advances
-        if not self.inflight:
-            self._process_membership()
-        if len(self.participants) < 1:  # pragma: no cover - master present
-            self.start()
-            return
+        if self._stopped or self.round is not None:
+            return  # raced; the open round reschedules when it finishes
+        self._process_membership()
         self.round_counter += 1
         order = tuple(self.participants)
         # FlushDone / ApplyAck are sent to order[0] alone.
@@ -764,18 +686,16 @@ class MasterControl:
                 started_at=self.node.scheduler.now(),
                 participants=len(order),
                 collection=mode,
-                pipelined=bool(self.inflight),
             ),
         )
-        self.inflight[self.round_counter] = round_
+        self.round = round_
         self.node.trace(Tracer.SYNC_START, round=self.round_counter, users=len(order))
         self.node.broadcast_signal(
             msg.StartSync(self.round_counter, order, concurrent)
         )
         if not concurrent:
             self._grant_turn(round_)
-        if len(self.inflight) == 1:
-            self._progress()  # an idle pipeline's clock starts here
+        self._progress()  # the watchdog's clock starts here
 
     def _grant_turn(self, round_: "_MasterRound") -> None:
         """Grant the flush turn to the next machine in order."""
@@ -800,9 +720,6 @@ class MasterControl:
             msg.BeginApply(round_.round_id, round_.order, counts)
         )
         self._progress()
-        # Pipelining: collection of the next round may overlap this
-        # round's apply/ack latency.
-        self._schedule_next_round()
 
     # -- signal handling (master consumes these) -------------------------------------
 
@@ -819,8 +736,8 @@ class MasterControl:
             self._on_goodbye(payload)
 
     def _on_flush_done(self, done: msg.FlushDone) -> None:
-        round_ = self.inflight.get(done.round_id)
-        if round_ is None:
+        round_ = self.round
+        if round_ is None or round_.round_id != done.round_id:
             return
         if done.machine_id in round_.counts or done.machine_id in round_.removed:
             return
@@ -841,8 +758,8 @@ class MasterControl:
             self._grant_turn(round_)
 
     def _on_apply_ack(self, ack: msg.ApplyAck) -> None:
-        round_ = self.inflight.get(ack.round_id)
-        if round_ is None:
+        round_ = self.round
+        if round_ is None or round_.round_id != ack.round_id:
             return
         if ack.machine_id in round_.removed:
             return
@@ -851,30 +768,26 @@ class MasterControl:
         self._maybe_finish()
 
     def _maybe_finish(self) -> None:
-        """Finish every fully-acked round, strictly in round-id order."""
-        finished = False
-        while self.inflight:
-            round_ = self.inflight[min(self.inflight)]
-            if round_.stage != "apply" or round_.awaited():
-                break
-            round_.record.finished_at = self.node.scheduler.now()
-            self.node.metrics_system.sync_records.append(round_.record)
-            self.node.trace(
-                Tracer.SYNC_DONE,
-                round=round_.round_id,
-                duration=round(round_.record.duration, 4),
-            )
-            self.node.broadcast_signal(msg.SyncComplete(round_.round_id))
-            del self.inflight[round_.round_id]
-            finished = True
-        if not finished:
+        """Finish the open round once every participant acked it."""
+        round_ = self.round
+        if round_ is None or round_.stage != "apply" or round_.awaited():
             return
+        round_.record.finished_at = self.node.scheduler.now()
+        self.node.metrics_system.sync_records.append(round_.record)
+        self.node.trace(
+            Tracer.SYNC_DONE,
+            round=round_.round_id,
+            duration=round(round_.record.duration, 4),
+        )
+        self.node.broadcast_signal(msg.SyncComplete(round_.round_id))
+        self.round = None
         self._nudge_restarts()
-        if (self.awaiting_ack or self.join_queue) and not self.inflight:
+        if self.awaiting_ack or self.join_queue:
             # Re-welcome unacked joiners and serve the Hellos that
-            # arrived while rounds were in flight.
+            # arrived while the round was in flight.
             self._process_membership()
-        self._schedule_next_round()
+        if self.running:
+            self.start()
 
     # -- membership ---------------------------------------------------------------------
 
@@ -899,19 +812,19 @@ class MasterControl:
         if hello.machine_id not in self.join_queue:
             self.join_queue.append(hello.machine_id)
         # A join between rounds can be processed immediately.
-        if not self.inflight:
+        if self.round is None:
             self._process_membership()
 
     def _on_welcome_ack(self, ack: msg.WelcomeAck) -> None:
         if ack.machine_id not in self.awaiting_ack:
             return
-        if self.inflight:
-            # The ack raced rounds this machine is not part of: its
-            # Welcome predates their commits, so admitting it now would
-            # leave a permanent hole in its committed sequence.  Keep it
-            # queued; _maybe_finish re-welcomes it with a fresh snapshot
-            # once the pipeline drains (loading is idempotent and the
-            # joiner catches up on the missed suffix).
+        if self.round is not None:
+            # The ack raced a round this machine is not part of: its
+            # Welcome predates that round's commits, so admitting it now
+            # would leave a permanent hole in its committed sequence.
+            # Keep it queued; _maybe_finish re-welcomes it with a fresh
+            # snapshot once the round finishes (loading is idempotent
+            # and the joiner catches up on the missed suffix).
             return
         self.awaiting_ack.discard(ack.machine_id)
         self.recovered_counts.pop(ack.machine_id, None)
@@ -925,7 +838,7 @@ class MasterControl:
             self.participants.remove(goodbye.machine_id)
             self.node.trace(Tracer.MEMBERSHIP, left=goodbye.machine_id)
         # Treat a mid-round departure like a stage-appropriate removal
-        # in every in-flight round.
+        # from the open round.
         self._remove_machine(goodbye.machine_id, restart=False)
 
     def _process_membership(self) -> None:
@@ -956,8 +869,8 @@ class MasterControl:
             machine_id, recovered_count, offset
         ):
             # The joiner's recovered history is NOT the global prefix it
-            # claims (e.g. it logged pipelined rounds around a hole
-            # before crashing).  Serving a backlog would cement the
+            # claims (e.g. it logged rounds around a hole before
+            # crashing).  Serving a backlog would cement the
             # divergence; fall back to the full snapshot, which also
             # rebases its durable log to a clean prefix.
             self.node.trace(
@@ -1023,9 +936,9 @@ class MasterControl:
             self._arm_watchdog(self.node.config.stall_timeout)
 
     def _arm_watchdog(self, delay: float) -> None:
-        # A gracefully stopped master keeps watching rounds still in
-        # flight (they must drain); a halted (crashed) one goes silent.
-        if not self.inflight or self._halted:
+        # A gracefully stopped master keeps watching the round still in
+        # flight (it must finish); a halted (crashed) one goes silent.
+        if self.round is None or self._halted:
             return
         self._watchdog_armed = True
         self.node.scheduler.call_later(delay, self._watchdog)
@@ -1040,19 +953,16 @@ class MasterControl:
         if remaining > 0:
             self._arm_watchdog(remaining)
             return
-        if self._halted or not self.inflight:
+        round_ = self.round
+        if self._halted or round_ is None:
             return
-        for round_id in sorted(self.inflight):
-            round_ = self.inflight.get(round_id)
-            if round_ is None:
-                continue  # finished while we handled an earlier round
-            stage = round_.stage
-            for stalled in round_.awaited():
-                if round_.stage != stage or round_id not in self.inflight:
-                    break  # a removal completed the stage (or the round)
-                self._handle_stall(round_, stalled, stage=stage)
+        stage = round_.stage
+        for stalled in round_.awaited():
+            if round_.stage != stage or self.round is not round_:
+                break  # a removal completed the stage (or the round)
+            self._handle_stall(round_, stalled, stage=stage)
         self._maybe_finish()
-        if self.inflight:
+        if self.round is not None:
             self._progress()  # restart the clock after acting
 
     def _handle_stall(
@@ -1098,9 +1008,9 @@ class MasterControl:
             self._remove_machine(machine_id, restart=True)
 
     def _remove_machine(self, machine_id: str, restart: bool) -> None:
-        """Remove a machine from the participant list and from *every*
-        in-flight round (a removed machine must re-join; it cannot keep
-        participating in later pipelined rounds)."""
+        """Remove a machine from the participant list and from the open
+        round (a removed machine must re-join; it is outside every later
+        round until it does)."""
         if machine_id in self.participants:
             self.participants.remove(machine_id)
         if restart:
@@ -1109,10 +1019,8 @@ class MasterControl:
                 self.node.signals_mesh.send(
                     self.node.machine_id, machine_id, msg.Restart(machine_id)
                 )
-        for round_id in sorted(self.inflight):
-            round_ = self.inflight.get(round_id)
-            if round_ is not None:
-                self._remove_from_round(round_, machine_id)
+        if self.round is not None:
+            self._remove_from_round(self.round, machine_id)
         self._maybe_finish()
 
     def _remove_from_round(

@@ -34,23 +34,24 @@ from repro.sim.rand import SeededSource
 def cluster_quiesced(master_node: GuesstimateNode, nodes) -> bool:
     """No pending work anywhere and no operations in flight.
 
-    Empty in-flight rounds do not count as work: with pipelining the
-    master can cycle op-less control rounds back to back without the
-    pipeline ever going idle, yet every issued operation has long
+    An empty open round does not count as work: at a short
+    ``sync_interval`` the master runs op-less control rounds back to
+    back, so a round is often open, yet every issued operation has long
     since committed everywhere.  A round carrying operations blocks
-    quiescence whatever its stage: its collected counts are nonzero,
-    or some live node holds op payloads for it.
+    quiescence whatever its stage: its collected counts are nonzero, or
+    some live node holds op payloads for it.
     """
     master = master_node.master
     if master is None:  # pragma: no cover
         return False
-    for round_id, round_ in master.inflight.items():
+    round_ = master.round
+    if round_ is not None:
         if sum(round_.counts.values()) > 0:
             return False
         for node in nodes:
             if node.state != GuesstimateNode.STATE_ACTIVE:
                 continue
-            state = node.synchronizer.rounds.get(round_id)
+            state = node.synchronizer.rounds.get(round_.round_id)
             if state is not None and state.received:
                 return False
     if master.join_queue or master.awaiting_ack:

@@ -2,7 +2,7 @@
 
 A FoundationDB-style fuzzer over the deterministic event loop: from a
 single integer seed it derives a whole scenario — cluster size, sync
-pipeline shape, workload mix, and a fault/churn plan — runs it with the
+round shape, workload mix, and a fault/churn plan — runs it with the
 paper's invariants checked at every quiescent point, records a compact
 JSONL trace of every scheduler decision and mesh delivery so any
 failing seed replays bit-identically, and shrinks failing scenarios to

@@ -109,7 +109,6 @@ def build_config(spec: ScenarioSpec) -> RuntimeConfig:
         sync=SyncConfig(
             collection=spec.collection,
             batch_max_ops=spec.batch_max_ops,
-            pipeline_depth=spec.pipeline_depth,
         ),
         durability="memory",
         snapshot_interval=spec.snapshot_interval,

@@ -2,7 +2,7 @@
 
 A :class:`ScenarioSpec` is a *declarative*, JSON-serializable
 description of everything a simulation run needs: cluster size, sync
-pipeline shape (:class:`~repro.runtime.config.SyncConfig` knobs),
+round shape (:class:`~repro.runtime.config.SyncConfig` knobs),
 workload mix, a fault plan (drops, crashes, partitions, crashes at
 commit points) and a churn plan (joins, offline excursions, hard kills
 with recover-and-rejoin).  :func:`generate_scenario` derives a spec
@@ -97,8 +97,8 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class CommitCrashSpec:
-    """Hard-kill ``machine`` at its next commit point (mid-pipeline
-    with ``pipeline_depth > 1``); ``recover_at`` schedules the
+    """Hard-kill ``machine`` at its next commit point (after the WAL
+    append, before the ``ApplyAck``); ``recover_at`` schedules the
     recover-and-rejoin if the crash has fired by then."""
 
     machine: str
@@ -129,7 +129,6 @@ class ScenarioSpec:
     n_machines: int
     collection: str
     batch_max_ops: int
-    pipeline_depth: int
     sync_interval: float
     stall_timeout: float
     snapshot_interval: int
@@ -159,12 +158,14 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
+        """Rebuild a spec from :meth:`to_dict` output.  Keys of retired
+        knobs (``pipeline_depth``, the hot-path levers) are ignored, so
+        old ``seed-<n>.json`` artifacts still replay."""
         return cls(
             seed=data["seed"],
             n_machines=data["n_machines"],
             collection=data["collection"],
             batch_max_ops=data["batch_max_ops"],
-            pipeline_depth=data["pipeline_depth"],
             sync_interval=data["sync_interval"],
             stall_timeout=data["stall_timeout"],
             snapshot_interval=data["snapshot_interval"],
@@ -211,7 +212,7 @@ def generate_scenario(seed: int, workload: str | None = None) -> ScenarioSpec:
 
     collection = sync.choice(["sequential", "concurrent"])
     batch_max_ops = sync.choice([1, 2, 4, 8, 64])
-    pipeline_depth = sync.choice([1, 2, 2, 3])
+    sync.choice([1, 2, 2, 3])  # retired pipeline_depth; keeps later draws
     sync_interval = round(sync.uniform(0.4, 1.0), 3)
     stall_timeout = round(sync.uniform(2.0, 4.0), 3)
     snapshot_interval = sync.choice([0, 2, 4, 8])
@@ -304,7 +305,6 @@ def generate_scenario(seed: int, workload: str | None = None) -> ScenarioSpec:
         n_machines=n_machines,
         collection=collection,
         batch_max_ops=batch_max_ops,
-        pipeline_depth=pipeline_depth,
         sync_interval=sync_interval,
         stall_timeout=stall_timeout,
         snapshot_interval=snapshot_interval,

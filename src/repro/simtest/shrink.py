@@ -3,7 +3,7 @@
 A failing fuzz scenario is rarely a good bug report: five machines,
 a dozen faults, ninety virtual seconds.  The shrinker repeatedly tries
 structural simplifications — drop one fault/churn event, remove the
-highest-numbered machine, halve the duration, flatten the pipeline,
+highest-numbered machine, halve the duration, simplify the knobs,
 shrink the workload — re-running the scenario after each candidate and
 keeping it only if it *still fails*.  Like delta debugging, this loops
 to a fixpoint; unlike Hypothesis-style shrinking it works on the
@@ -89,8 +89,6 @@ def _shorten(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
 
 
 def _simplify_knobs(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
-    if spec.pipeline_depth > 1:
-        yield replace(spec, pipeline_depth=1)
     if spec.n_grids > 1:
         yield replace(spec, n_grids=1)
     if spec.snapshot_interval != 0:

@@ -22,7 +22,6 @@ Schema (all sections except ``nodes`` optional)::
       stall_timeout: 2.0
       collection: concurrent
       batch_max_ops: 64
-      pipeline_depth: 1
       durability: disk
       fsync_policy: interval
       snapshot_interval: 8
@@ -294,7 +293,6 @@ _RUNTIME_KEYS = {
 _SYNC_KEYS = {
     "collection": str,
     "batch_max_ops": int,
-    "pipeline_depth": int,
 }
 
 

@@ -3,17 +3,20 @@ round-protocol option surface."""
 
 from dataclasses import fields
 
+import pytest
+
+from repro.errors import ClusterConfigError
 from repro.runtime.config import RuntimeConfig, SyncConfig
+from repro.transport.config import cluster_from_dict
 
 
 class TestOptionSurface:
-    def test_sync_config_has_exactly_three_fields(self):
+    def test_sync_config_has_exactly_two_fields(self):
         """Every field here doubles the configurations simfuzz, tier-1
         and the benchmark must cover — a new one belongs in review."""
         assert {f.name for f in fields(SyncConfig)} == {
             "collection",
             "batch_max_ops",
-            "pipeline_depth",
         }
         assert SyncConfig().collection == "concurrent"
 
@@ -22,6 +25,16 @@ class TestOptionSurface:
         assert "parallel_flush" not in names
         assert "delta_refresh" not in names
         assert "failover_timeout" not in names
+        # An old cluster.yaml that still sets the retired round
+        # pipelining depth fails loudly instead of running depth 1.
+        old = {
+            "nodes": [{"id": "n1", "port": 9101, "master": True}],
+            "runtime": {"pipeline_depth": 1},
+        }
+        with pytest.raises(
+            ClusterConfigError, match="unknown runtime option.*pipeline_depth"
+        ):
+            cluster_from_dict(old)
 
 
 class TestCostModel:
@@ -44,8 +57,6 @@ class TestCostModel:
 
     def test_frozen(self):
         import dataclasses
-
-        import pytest
 
         config = RuntimeConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -4,8 +4,8 @@ Each scenario here was first caught by ``simfuzz`` as an invariant
 violation on a concrete seed, then shrunk and root-caused.  The tests
 pin the node- and master-side behaviours that fix them:
 
-* stale round signals must not resurrect completed rounds (zombie
-  rounds block the pipeline's in-order apply);
+* stale round signals must not resurrect completed rounds (a zombie
+  round re-applies or waits forever for ops nobody holds);
 * the master may never strike out its own machine (Hello never reaches
   the co-located MasterControl, so the removal is permanent);
 * after ``BeginApply`` the round's counts are immutable — a removal
@@ -17,7 +17,6 @@ pin the node- and master-side behaviours that fix them:
 from repro.core.machine import CompletedEntry, MachineModel
 from repro.core.operations import OpKey
 from repro.runtime import messages as msg
-from repro.runtime.config import SyncConfig
 from repro.runtime.metrics import SyncRecord
 from repro.runtime.synchronizer import _MasterRound
 from tests.helpers import quick_system, shared_counter
@@ -26,18 +25,14 @@ ORDER = ("m01", "m02", "m03")
 
 
 class TestQuiescence:
-    def test_quiesced_with_saturated_pipeline_of_empty_rounds(self):
+    def test_quiesced_with_back_to_back_empty_rounds(self):
         """Back-to-back op-less control rounds must not block quiescence."""
-        system = quick_system(
-            3,
-            sync_interval=0.05,
-            sync=SyncConfig(collection="concurrent", pipeline_depth=3),
-        )
+        system = quick_system(3, sync_interval=0.05)
         replicas, _uid = shared_counter(system)
         ticket = system.api("m02").invoke(replicas["m02"], "increment", 10)
         quiesced_at = system.run_until_quiesced(max_time=60.0)
         assert ticket.commit_result is True
-        # The pipeline keeps cycling empty rounds after the op commits;
+        # The master keeps opening empty rounds after the op commits;
         # quiescence must still have been reached promptly.
         assert quiesced_at < 60.0
         system.check_all_invariants()
@@ -65,7 +60,7 @@ class TestZombieRounds:
 
         A resent ``BeginApply`` can arrive after the round's
         ``SyncComplete`` popped it; recreating the round would leave an
-        empty zombie that blocks every later round's in-order apply.
+        empty zombie that re-applies or waits forever for ops.
         """
         system = quick_system(3)
         syn = system.node("m02").synchronizer
@@ -99,7 +94,7 @@ class TestMasterSelfPreservation:
             stage=stage,
             counts={"m01": 0, "m02": 0, "m03": 0},
         )
-        system.node("m01").master.inflight[99] = round_
+        system.node("m01").master.round = round_
         return round_
 
     def test_master_never_strike_removes_own_machine(self):
@@ -165,10 +160,10 @@ class TestCountsImmutableAfterPublication:
             stage="apply",
             counts={"m01": 0, "m02": 0, "m03": 3},
         )
-        master.inflight[42] = round_
+        master.round = round_
         master._remove_from_round(round_, "m03")
         assert round_.counts["m03"] == 3  # published counts are immutable
-        master.inflight.pop(42, None)
+        master.round = None
 
 
 class TestJoiningGate:

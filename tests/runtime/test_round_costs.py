@@ -126,8 +126,8 @@ def test_frames_per_round_over_sockets():
         cluster.start(first_sync_delay=0.05)  # after the links are up
         cluster.run_for(0.35)
         cluster.stop()
-        cluster.run_for(0.2)  # rounds in flight drain; nothing new starts
-        assert not cluster.master_node.master.inflight
+        cluster.run_for(0.2)  # the open round drains; nothing new starts
+        assert cluster.master_node.master.round is None
         rounds = len(cluster.metrics.sync_records)
         assert rounds >= 3
         frames = sum(t.stats.frames_sent for t in cluster.transports.values())

@@ -1,4 +1,4 @@
-"""End-to-end tests for the pipelined batch synchronizer + ticket API.
+"""End-to-end tests for the batch synchronizer + ticket API.
 
 Every scenario here runs under BOTH collection modes (sequential
 token-passing and concurrent flush) — the redesign's contract is that
@@ -169,21 +169,20 @@ class TestOpBatching:
         assert len(system.metrics.sync_records) >= 2
 
 
-class TestPipelining:
-    def _busy_system(self, depth, seed=7):
+class TestBackToBackRounds:
+    def test_tickets_resolve_in_issue_order(self):
         from repro.net.latency import lan_profile
 
         # A saturated regime: the sync interval is shorter than a
-        # round's apply/ack latency, so with depth > 1 the master can
-        # open round k+1 while round k's acks are still in flight.
+        # round's apply/ack latency, so rounds run back to back.
         system = mode_system(
             "concurrent",
-            seed=seed,
+            seed=11,
             sync_interval=0.05,
             latency=lan_profile(scale=5.0),
-            sync=SyncConfig(collection="concurrent", pipeline_depth=depth),
         )
-        replicas, uid = shared_counter(system)
+        replicas, _uid = shared_counter(system)
+
         # Keep every machine issuing so consecutive rounds have traffic.
         def tick(machine_id):
             system.api(machine_id).invoke(
@@ -191,31 +190,11 @@ class TestPipelining:
             )
             if system.loop.now() < 12.0:
                 system.loop.call_later(0.15, lambda: tick(machine_id))
+
         for machine_id in system.machine_ids():
             tick(machine_id)
         system.run_for(12.0)
         system.run_until_quiesced()
-        return system, replicas, uid
-
-    def test_depth_two_overlaps_rounds(self):
-        system, replicas, _uid = self._busy_system(depth=2)
-        records = system.metrics.sync_records
-        assert any(r.pipelined for r in records)
-        assert all(r.collection == "concurrent" for r in records)
-        # Pipelining must not reorder commits: rounds finish in id order.
-        finished = [r.round_id for r in records]
-        assert finished == sorted(finished)
-        values = {rep.value for rep in replicas.values()}
-        assert len(values) == 1
-        system.check_all_invariants()
-
-    def test_depth_one_never_pipelines(self):
-        system, _replicas, _uid = self._busy_system(depth=1)
-        assert not any(r.pipelined for r in system.metrics.sync_records)
-        system.check_all_invariants()
-
-    def test_pipelined_tickets_resolve_in_issue_order(self):
-        system, replicas, _uid = self._busy_system(depth=3, seed=11)
         order: list[int] = []
         tickets = [
             system.api("m01").invoke(
@@ -256,7 +235,7 @@ class TestStrategiesCommitTheSameSequence:
     @staticmethod
     def _scripted_run(**config_kwargs):
         """Seeded bursts from random machines, each burst issued on an
-        idle pipeline so both strategies collect it in one round."""
+        idle cluster so both strategies collect it in one round."""
         system = quick_system(n=4, seed=5, **config_kwargs)
         replicas, _uid = shared_counter(system)
         rng = random.Random(7)

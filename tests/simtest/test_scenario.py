@@ -15,31 +15,33 @@ from repro.simtest.scenario import (
     machine_name,
 )
 
-#: sha256[:12] of each seed's spec (seeds 0-99, canonical JSON), captured
-#: before the three hot-path lever draws were retired from the end of
-#: the ``sync`` stream — with the lever keys left out of the hash, so
-#: every field that survives must still hash to the same value.
+#: sha256[:12] of each seed's spec (seeds 0-99, canonical JSON) with
+#: every retired knob left out of the hash: the three hot-path levers,
+#: whose draws were dropped from the end of the ``sync`` stream, and
+#: ``pipeline_depth``, whose draw is still consumed and discarded.
+#: Every field that survives must keep the value it was generated with
+#: before either retirement.
 PRE_RETIREMENT_SPEC_FINGERPRINTS = """
-    59a295d7bce7 26e1e1c56b40 56eeb7d29596 8d03effff629 a438e4a63188
-    59f05ef63331 7b3a9121d032 1fdba3987de8 2f9347d89118 22a82d5cc9ca
-    c6fbd344e00d 4ce2fd273968 0440663453d1 b0b6996e313d e4afdbc723e5
-    90a4e93ab167 da5e77445b9b 69b3cf6346c7 1182a7a88527 7bf89cec367c
-    4c53c22967a1 d030544fd690 91cd7ba5a5e1 8da564c5c65a 0500fe2fef46
-    e7918607d39d fdca188cacda dcdf0e713a57 5e1f5632b79f ad3f9a8de225
-    0602b89388bb c9eddfc1fd9e 85aa20e97854 7039ec259257 e2baa89d57ae
-    6c28e4c155be d3c7901230a3 d405992b8f17 cad9398dc366 67d626887008
-    7b01cb9ffa15 d2154df406d6 4b748fd6a50b 78b2a1a31b69 d7301bb959b9
-    994c7397e27d 4b64fda71ff3 59bfa8d5561e b6231b33ac95 2fff928e9b8d
-    a11bb3de507f a6455e9d9089 c6a561837f04 a75a6185bdd8 f976d72564f5
-    a2d418c92453 dfa045d004ef 15770411f7f2 961a4ce540f5 37a58ccc146c
-    fe1b5536940b b1850cfffd57 e2364f791d94 011a21f0332e 9e045f9deaac
-    03a124456af9 1fae45996fed 8e214b661221 35a99fc9571c 10bde8e64b73
-    ed323fa30826 d27bec4bf870 cc48801e76e6 5aae9a2ec076 97a2df214cb2
-    294dd80e9579 f87f5db35fee 810407466187 f3bfd1fc9789 e4dc579ec6e5
-    2b46bc9a10c2 53c5bed52612 640ecbba182a 528a84b3191d 2f2a24b1e928
-    fbee4e070252 12c18a07bf8d 5683b593e78f a152c4c4f21a 826936f16bc5
-    438d4162425a 42f5c17039e0 6d7947a6133e b0f8fa3987e7 17161a221e38
-    d30d550e99a9 6a0ce211ad94 3cefa4448e3f bc46e60a21d3 81addc5f0511
+    cd57cea0bed3 66c023e26866 7801e3fb3d1c 0f174e812aba 37b4ea75ac82
+    3d1fc7026970 0f89c2a1f25d 40f1241190c8 f4c9a066f34a 0148568210ad
+    f68bbdf60503 4529208a9b6f 7f89f93e801b af783bc5bccc 436aa959f440
+    0cdc98ca24b8 0de9305861ca 276a305a032e 09987d5ddf07 b199e24b8867
+    1060a12ddc73 3d62c0159d2b 2f5e08ca9836 77871a4a1639 01bad179fa65
+    c7b7a01261fb 059c4b3a9169 394a8caeb893 ee88e10b3d18 d7aac5866e3a
+    b64c8279d636 a46af0e5ee3e dfcc95062b33 3f73278f166d 3a5002984399
+    649a3e53313b 8716097888ca 07dc055f11a4 e144eb386196 a34300848615
+    f8ec80ecdde5 37c63b3abed8 e679a73343d6 d4ba6ed44958 cec1af34dcda
+    745d1978862a 478eb9bddf9f 731b379804df e0485eac4ca6 945e2d83f15b
+    3d2ac4d58a94 b01703d3ad3f 5d883a050812 12c0293cc10b 874b95fc6934
+    ecdad8d5afaa 3fe5e71d1116 5b7c4774fdc8 ff416d2f6ee5 a3a9496800cf
+    ec69658c49e6 93502d21c289 a76dd0810eb4 2b7c9c45cbcb 1d79f936adf6
+    857c122f3603 be60dd6a8439 caf60a2fe5c0 2483a25b6a45 7bc13e37abf7
+    f242e6014dfe d2d996c2c09b b27bc84121d0 2081a4a3eb44 19f9602c29ae
+    002d2113652c 67b9101a23fc ddbee33b6d76 017d44ac9de4 e16076d37d6e
+    25b15e767e91 50106c4463b5 68aea1c67a32 1d055a332bea f7fda39f9b47
+    10ba6c815c20 2e32b6b4e4cd ffc9b69831e3 8a89d5d584d5 9e31b5f4c8be
+    69c91f22c791 7854f80b15bb 1f39c1e03c66 139700ee0ccd 95a6d0504c5e
+    caa579b7eeb5 25b88ce8e99d 51c1e8b58421 bfe6998c7421 11b8be98e969
 """.split()
 
 
@@ -58,7 +60,6 @@ class TestGeneration:
             assert 2 <= spec.n_machines <= 5
             assert spec.collection in ("sequential", "concurrent")
             assert spec.batch_max_ops >= 1
-            assert spec.pipeline_depth >= 1
             assert spec.sync_interval > 0
             assert spec.stall_timeout > spec.sync_interval
             assert spec.duration >= 30.0
@@ -73,6 +74,7 @@ class TestGeneration:
             "DROPPABLE_PAYLOADS",
             tuple(p for p in scenario.DROPPABLE_PAYLOADS if p != "ApplyAck"),
         )
+        assert "pipeline_depth" not in generate_scenario(0).to_dict()
         for seed, expected in enumerate(PRE_RETIREMENT_SPEC_FINGERPRINTS):
             canonical = json.dumps(generate_scenario(seed).to_dict(), sort_keys=True)
             digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
@@ -86,9 +88,9 @@ class TestGeneration:
         }
         assert {"FlushDone", "ApplyAck", "YourTurn", "BeginApply"} <= dropped
 
-    def test_sweep_spreads_over_six_round_protocol_configurations(self):
+    def test_sweep_spreads_over_both_collection_strategies(self):
         specs = [generate_scenario(seed) for seed in range(100)]
-        assert len({(s.collection, s.pipeline_depth) for s in specs}) == 6
+        assert {s.collection for s in specs} == {"sequential", "concurrent"}
 
     def test_seed_range_covers_every_workload(self):
         drawn = {generate_scenario(seed).workload for seed in range(60)}
@@ -137,13 +139,15 @@ class TestSpecRoundTrip:
 
     def test_artifact_with_retired_lever_keys_still_loads(self):
         """Committed ``seed-<n>.json`` artifacts predate the removal of
-        the three hot-path levers; their extra keys are ignored."""
+        the three hot-path levers and of round pipelining; their extra
+        keys are ignored."""
         spec = generate_scenario(7)
         old_shaped = dict(
             spec.to_dict(),
             scheduled_rounds=True,
             speculative_apply=False,
             compact_flush=True,
+            pipeline_depth=2,
         )
         assert ScenarioSpec.from_dict(old_shaped) == spec
 

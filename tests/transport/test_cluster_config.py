@@ -151,6 +151,7 @@ class TestClusterValidation:
             ("sync_intervle", 0.5),
             ("delta_refresh", False),
             ("failover_timeout", 4.0),
+            ("pipeline_depth", 2),
         ):
             data = self.base()
             data["runtime"] = {key: value}
