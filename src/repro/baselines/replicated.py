@@ -16,8 +16,9 @@ from typing import Callable
 from repro.core.operations import SharedOp
 from repro.core.serialization import decode_op, encode_op
 from repro.core.store import ObjectStore
+from repro.net.interface import Envelope
 from repro.net.latency import LatencyModel
-from repro.net.mesh import Envelope, Mesh
+from repro.net.mesh import Mesh
 from repro.sim.scheduler import Scheduler
 
 

@@ -81,10 +81,6 @@ class MachineModel:
         self.pending = []
         return taken
 
-    def requeue_pending_front(self, entries: list[PendingEntry]) -> None:
-        """Put entries back at the head of P (flush-overflow backpressure)."""
-        self.pending = list(entries) + self.pending
-
     def replay_pending(self) -> list[PendingEntry]:
         """Rebuild the guess on a freshly refreshed ``sg``: re-apply P.
 

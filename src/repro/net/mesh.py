@@ -1,37 +1,21 @@
 """Broadcast meshes — the PeerChannel substitute.
 
-A :class:`Mesh` is a named broadcast channel.  Members join with a
-handler; ``broadcast`` schedules one delivery per other member, each
-with its own sampled latency, optionally eaten by the fault injector.
-The GUESSTIMATE runtime uses two meshes (as the paper does): ``signals``
-for protocol control messages and ``operations`` for shipped operations.
+A :class:`Mesh` is a named broadcast channel on the simulator's
+scheduler: each delivery that survives the fault injector arrives after
+its own sampled latency.  The GUESSTIMATE runtime uses two meshes (as
+the paper does): ``signals`` for protocol control messages and
+``operations`` for shipped operations.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.errors import NotInMeshError
-from repro.net.faults import FaultInjector, NoFaults
-from repro.net.interface import (
-    BroadcastChannel,
-    Envelope,
-    Handler,
-    MeshObserver,
-    MeshStats,
-)
+from repro.net.faults import FaultInjector
+from repro.net.interface import BroadcastChannel, ChannelPair
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.sim.rand import seeded_stream
 from repro.sim.scheduler import Scheduler
-
-__all__ = [
-    "Envelope",
-    "Handler",
-    "Mesh",
-    "MeshObserver",
-    "MeshPair",
-    "MeshStats",
-]
 
 
 class Mesh(BroadcastChannel):
@@ -45,146 +29,27 @@ class Mesh(BroadcastChannel):
         faults: FaultInjector | None = None,
         rng: random.Random | None = None,
     ):
-        self.name = name
-        self.scheduler = scheduler
-        self.latency = latency if latency is not None else ConstantLatency(0.0)
-        self.faults = faults if faults is not None else NoFaults()
         # The fallback stream is derived from the mesh name so two
         # meshes never share a default sequence and replay from a seed
         # stays bit-identical (see repro.sim.rand).
-        self.rng = rng if rng is not None else seeded_stream(f"mesh:{name}")
-        self.stats = MeshStats()
-        self.observers: list[MeshObserver] = []
-        self._members: dict[str, Handler] = {}
+        if rng is None:
+            rng = seeded_stream(f"mesh:{name}")
+        super().__init__(name, scheduler, faults, rng)
+        self.latency = latency if latency is not None else ConstantLatency(0.0)
 
-    def _notify(self, event: str, **info) -> None:
-        for observer in self.observers:
-            observer(event, info)
-
-    # -- membership ----------------------------------------------------------
-
-    @property
-    def members(self) -> list[str]:
-        """Current member ids in join order."""
-        return list(self._members)
-
-    def join(self, node_id: str, handler: Handler) -> None:
-        """Add ``node_id``; its ``handler`` receives every delivery."""
-        self._members[node_id] = handler
-
-    def leave(self, node_id: str) -> None:
-        """Remove ``node_id``; in-flight deliveries to it are lost."""
-        self._members.pop(node_id, None)
-
-    def is_member(self, node_id: str) -> bool:
-        return node_id in self._members
-
-    # -- sending -------------------------------------------------------------
-
-    def broadcast(self, sender: str, payload: object) -> int:
-        """Deliver ``payload`` to every *other* member.
-
-        Returns the number of deliveries scheduled (drops still count as
-        scheduled sends — the sender cannot observe the loss, exactly
-        like a real broadcast).
-        """
-        self._require_member(sender)
-        self.stats.broadcasts += 1
-        scheduled = 0
-        now = self.scheduler.now()
-        if self.faults.is_crashed(now, sender):
-            return 0  # a crashed machine's sends go nowhere
-        for recipient in list(self._members):
-            if recipient == sender:
-                continue
-            self._schedule_delivery(sender, recipient, payload, now)
-            scheduled += 1
-        return scheduled
-
-    def send(self, sender: str, recipient: str, payload: object) -> None:
-        """Unicast ``payload`` to a single member.
-
-        Sending to a machine that has left the mesh is a normal
-        distributed-systems event (the sender cannot know), so it is
-        counted as undeliverable rather than raised.
-        """
-        self._require_member(sender)
-        self.stats.unicasts += 1
-        now = self.scheduler.now()
-        if recipient not in self._members:
-            self.stats.undeliverable += 1
-            return
-        if self.faults.is_crashed(now, sender):
-            return
-        self._schedule_delivery(sender, recipient, payload, now)
-
-    # -- internal ------------------------------------------------------------
-
-    def _require_member(self, node_id: str) -> None:
-        if node_id not in self._members:
-            raise NotInMeshError(node_id, self.name)
-
-    def _schedule_delivery(
-        self, sender: str, recipient: str, payload: object, now: float
-    ) -> None:
-        self.stats.count_payload(payload)
-        if self.faults.should_drop(now, self.name, sender, recipient, self.rng, payload):
-            self.stats.dropped += 1
-            self._notify(
-                "drop",
-                channel=self.name,
-                sender=sender,
-                recipient=recipient,
-                payload=type(payload).__name__,
-                at=now,
-            )
-            return
-        delay = self.latency.sample(self.rng)
-
-        def deliver() -> None:
-            handler = self._members.get(recipient)
-            delivered_at = self.scheduler.now()
-            if handler is None or self.faults.is_crashed(delivered_at, recipient):
-                self.stats.undeliverable += 1
-                self._notify(
-                    "undeliverable",
-                    channel=self.name,
-                    sender=sender,
-                    recipient=recipient,
-                    payload=type(payload).__name__,
-                    at=delivered_at,
-                )
-                return
-            self.stats.deliveries += 1
-            self._notify(
-                "deliver",
-                channel=self.name,
-                sender=sender,
-                recipient=recipient,
-                payload=type(payload).__name__,
-                at=delivered_at,
-            )
-            handler(
-                Envelope(
-                    channel=self.name,
-                    sender=sender,
-                    recipient=recipient,
-                    payload=payload,
-                    sent_at=now,
-                    delivered_at=delivered_at,
-                )
+    def _carrier(self, sender: str, payload: object, sent_at: float):
+        def carry(recipient: str) -> None:
+            self.scheduler.call_later(
+                self.latency.sample(self.rng),
+                lambda: self._arrive(sender, recipient, payload, sent_at),
             )
 
-        self.scheduler.call_later(delay, deliver)
+        return carry
 
 
-class MeshPair:
-    """The runtime's two channels: ``signals`` and ``operations``.
-
-    Mirrors the paper: "The GUESSTIMATE runtime uses two meshes, one for
-    sending signals and another for passing operations.  Both meshes
-    contain all participating machines."
-    """
+class MeshPair(ChannelPair):
+    """``signals`` and ``operations`` meshes sharing one scheduler,
+    latency model, fault injector and random stream."""
 
     def __init__(
         self,
@@ -193,17 +58,4 @@ class MeshPair:
         faults: FaultInjector | None = None,
         rng: random.Random | None = None,
     ):
-        self.signals = Mesh("signals", scheduler, latency, faults, rng)
-        self.operations = Mesh("operations", scheduler, latency, faults, rng)
-
-    def join(self, node_id: str, signal_handler: Handler, ops_handler: Handler) -> None:
-        self.signals.join(node_id, signal_handler)
-        self.operations.join(node_id, ops_handler)
-
-    def leave(self, node_id: str) -> None:
-        self.signals.leave(node_id)
-        self.operations.leave(node_id)
-
-    @property
-    def members(self) -> list[str]:
-        return self.signals.members
+        super().__init__(lambda name: Mesh(name, scheduler, latency, faults, rng))

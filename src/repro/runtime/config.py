@@ -82,10 +82,6 @@ class RuntimeConfig:
     update_cpu_base: float = 0.001
     update_cpu_per_op: float = 0.0002
 
-    #: Upper bound on operations per flush (backpressure guard; the
-    #: paper's applications never get near this).
-    max_ops_per_flush: int = 10_000
-
     #: Enable the structured trace log (tests use it; benchmarks turn
     #: it off for speed).
     tracing: bool = False

@@ -17,7 +17,7 @@ from repro.core.operations import OpKey
 from repro.core.readlock import ReadLockTable
 from repro.core.serialization import decode_op, decode_state
 from repro.errors import NodeCrashedError, RuntimeFailure
-from repro.net.interface import BroadcastChannel, Envelope
+from repro.net.interface import BroadcastChannel, ChannelPair, Envelope
 from repro.runtime import messages as msg
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import NodeMetrics, SystemMetrics
@@ -52,7 +52,7 @@ class GuesstimateNode(Host):
         self,
         machine_id: str,
         scheduler: Scheduler,
-        meshes,  # MeshPair or NetworkMeshPair: .signals/.operations/join/leave
+        meshes: ChannelPair,
         config: RuntimeConfig,
         metrics_system: SystemMetrics,
         tracer: Tracer | None = None,
@@ -208,6 +208,9 @@ class GuesstimateNode(Host):
             )
         self.signals_mesh.broadcast(self.machine_id, msg.Goodbye(self.machine_id))
         self.meshes.leave(self.machine_id)
+        # The rounds we held complete without us, and a timer of theirs
+        # must not signal on meshes we left; the pending list survives.
+        self.synchronizer.drop_rounds()
         self.state = GuesstimateNode.STATE_OFFLINE
         self.trace(Tracer.MEMBERSHIP, state="offline", pending=len(self.model.pending))
 
@@ -221,10 +224,6 @@ class GuesstimateNode(Host):
         """
         if self.state != GuesstimateNode.STATE_OFFLINE:
             raise NodeCrashedError(self.machine_id)
-        # Stale round bookkeeping from before the disconnect is useless
-        # (those rounds completed without us); the pending list survives.
-        self.synchronizer.rounds.clear()
-        self.synchronizer.op_buffer.clear()
         self.meshes.join(self.machine_id, self._on_signal, self._on_op)
         self.state = GuesstimateNode.STATE_JOINING
         self._announce()

@@ -238,10 +238,6 @@ class Synchronizer:
         node = self.node
         node.enter_window("flush")
         entries = node.model.take_pending()
-        if len(entries) > node.config.max_ops_per_flush:  # pragma: no cover
-            overflow = entries[node.config.max_ops_per_flush :]
-            entries = entries[: node.config.max_ops_per_flush]
-            node.model.requeue_pending_front(overflow)
         encoded: list[tuple[int, dict]] = []
         for entry in entries:
             payload = encode_op(entry.op)
@@ -590,13 +586,18 @@ class Synchronizer:
             self.rounds[round_id] = state
         return self.rounds[round_id]
 
-    def reset(self) -> None:
-        """Drop all protocol state (used on restart)."""
+    def drop_rounds(self) -> None:
+        """Forget every round this node holds, timers included (used
+        when it leaves the meshes: those rounds finish without it)."""
         for round_state in self.rounds.values():
             if round_state.missing_timer is not None:
                 round_state.missing_timer.cancel()  # type: ignore[attr-defined]
         self.rounds.clear()
         self.op_buffer.clear()
+
+    def reset(self) -> None:
+        """Drop all protocol state (used on restart)."""
+        self.drop_rounds()
         self.refresh_backlog.clear()
         self.in_flight.clear()
         self.pending_completions.clear()

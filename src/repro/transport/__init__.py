@@ -3,9 +3,9 @@
 The paper's implementation ran on real machines over .NET PeerChannel;
 everything in this reproduction so far ran the same runtime over the
 simulated :class:`~repro.net.mesh.Mesh`.  This package closes the gap:
-:class:`~repro.transport.netmesh.NetworkMesh` implements the
-:class:`~repro.net.interface.BroadcastChannel` contract over
-length-prefixed TCP frames (the registry codec of
+:class:`~repro.transport.netmesh.NetworkMesh` carries the
+:class:`~repro.net.interface.BroadcastChannel` over length-prefixed
+TCP frames (the registry codec of
 :mod:`repro.storage.codec` on the wire), so ``GuesstimateNode`` and
 ``Synchronizer`` run over real sockets unmodified.
 
@@ -17,10 +17,11 @@ Layers, bottom to top:
   :class:`~repro.sim.scheduler.Scheduler` adapter over an asyncio loop.
 * :mod:`repro.transport.netmesh` — :class:`NodeTransport` (one TCP
   server + one outbound :class:`PeerLink` per peer, reconnect with
-  exponential backoff, per-channel sequence numbers) and the
-  :class:`NetworkMesh`/:class:`NetworkMeshPair` channel implementation.
+  exponential backoff, per-channel sequence numbers) and
+  :class:`NetworkMesh`/:class:`NetworkMeshPair`, the socket carrier of
+  the shared channel.
 * :mod:`repro.transport.config` — ``cluster.yaml`` loading with
-  ``${VAR}`` environment expansion (PyYAML optional).
+  ``${VAR}`` environment expansion.
 * :mod:`repro.transport.daemon` — the per-node process behind
   ``python -m repro.cli serve``.
 * :mod:`repro.transport.loopback` — the verification twin: whole

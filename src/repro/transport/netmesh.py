@@ -1,4 +1,4 @@
-"""The socket-backed :class:`~repro.net.interface.BroadcastChannel`.
+"""The socket carrier of the :class:`~repro.net.interface.BroadcastChannel`.
 
 Topology: every node runs **one TCP server** (its inbound half) and
 dials **one outbound connection per configured peer** (its outbound
@@ -27,17 +27,9 @@ the paper's two PeerChannel meshes shared one physical network.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.errors import NotInMeshError
-from repro.net.faults import FaultInjector, NoFaults
-from repro.net.interface import (
-    BroadcastChannel,
-    Envelope,
-    Handler,
-    MeshObserver,
-    MeshStats,
-)
+from repro.net.interface import BroadcastChannel, ChannelPair
 from repro.sim.rand import seeded_stream
 from repro.transport.framing import (
     FrameDecoder,
@@ -333,208 +325,70 @@ class NodeTransport:
 
 
 class NetworkMesh(BroadcastChannel):
-    """The :class:`BroadcastChannel` contract over a :class:`NodeTransport`.
+    """The :class:`BroadcastChannel` carried by a :class:`NodeTransport`.
 
     Local members (normally exactly one: the co-located node) join with
     a handler; every configured peer is a remote member.  ``faults``
-    defaults to :class:`NoFaults` but is assignable, and ``should_drop``
-    runs on the *outbound* path — loopback tests inject message loss
-    this way without touching sockets.
+    defaults to :class:`~repro.net.faults.NoFaults` but is assignable, and the loss
+    decision runs on the *outbound* path before a frame is built —
+    loopback tests inject message loss this way without touching
+    sockets.
     """
 
     def __init__(self, name: str, transport: NodeTransport):
-        self.name = name
+        super().__init__(
+            name,
+            transport.scheduler,
+            None,
+            seeded_stream(f"netmesh:{transport.local_id}:{name}"),
+        )
         self.transport = transport
-        self.scheduler = transport.scheduler
-        self.stats = MeshStats()
-        self.observers: list[MeshObserver] = []
-        self.faults: FaultInjector = NoFaults()
-        self.rng = seeded_stream(f"netmesh:{transport.local_id}:{name}")
-        self._local: dict[str, Handler] = {}
-
-    def _notify(self, event: str, **info) -> None:
-        for observer in self.observers:
-            observer(event, info)
-
-    # -- membership ----------------------------------------------------------
 
     @property
     def members(self) -> list[str]:
-        remote = [p for p in self.transport.peers if p not in self._local]
-        return list(self._local) + remote
-
-    def join(self, node_id: str, handler: Handler) -> None:
-        self._local[node_id] = handler
-
-    def leave(self, node_id: str) -> None:
-        self._local.pop(node_id, None)
+        remote = [p for p in self.transport.peers if p not in self._handlers]
+        return list(self._handlers) + remote
 
     def is_member(self, node_id: str) -> bool:
-        return node_id in self._local or node_id in self.transport.peers
+        return node_id in self._handlers or node_id in self.transport.peers
 
-    # -- sending -------------------------------------------------------------
-
-    def broadcast(self, sender: str, payload: object) -> int:
-        self._require_member(sender)
-        self.stats.broadcasts += 1
-        now = self.scheduler.now()
-        if self.faults.is_crashed(now, sender):
-            return 0
-        scheduled = 0
-        remote = [p for p in self.transport.peers if p != sender]
+    def _carrier(self, sender: str, payload: object, sent_at: float):
+        peers = self.transport.peers
         # Encode-once fan-out: the payload bytes are identical for every
         # peer, so serialize them a single time and stamp only the
-        # per-peer envelope in the loop.
-        payload_json = encode_payload(payload) if remote else None
-        for peer_id in remote:
-            self._ship(sender, peer_id, payload, now, payload_json)
-            scheduled += 1
-        for local_id in list(self._local):
-            if local_id == sender or local_id in self.transport.peers:
-                continue
-            self._deliver_local(sender, local_id, payload, now)
-            scheduled += 1
-        return scheduled
+        # per-peer envelope.
+        encoded: str | None = None
 
-    def send(self, sender: str, recipient: str, payload: object) -> None:
-        self._require_member(sender)
-        self.stats.unicasts += 1
-        now = self.scheduler.now()
-        if not self.is_member(recipient):
-            self.stats.undeliverable += 1
-            return
-        if self.faults.is_crashed(now, sender):
-            return
-        if recipient in self._local and recipient != sender:
-            self._deliver_local(sender, recipient, payload, now)
-        elif recipient in self.transport.peers:
-            self._ship(sender, recipient, payload, now)
-        else:  # unicast to self: same zero-latency local path
-            self._deliver_local(sender, recipient, payload, now)
+        def carry(recipient: str) -> None:
+            nonlocal encoded
+            if recipient not in peers:  # co-located: zero-copy, next loop turn
+                self.scheduler.call_soon(
+                    lambda: self._arrive(sender, recipient, payload, sent_at)
+                )
+                return
+            if encoded is None:
+                encoded = encode_payload(payload)
+            if not self.transport.ship_encoded(
+                recipient, self.name, sender, sent_at, encoded
+            ):
+                # Link down: the frame is lost exactly like a dropped
+                # message; the protocol's timeouts recover.
+                self._drop(sender, recipient, payload, sent_at)
 
-    # -- internal ------------------------------------------------------------
-
-    def _require_member(self, node_id: str) -> None:
-        if node_id not in self._local:
-            raise NotInMeshError(node_id, self.name)
-
-    def _drop_check(self, sender: str, recipient: str, payload: object, now: float) -> bool:
-        self.stats.count_payload(payload)
-        if self.faults.should_drop(now, self.name, sender, recipient, self.rng, payload):
-            self.stats.dropped += 1
-            self._notify(
-                "drop",
-                channel=self.name,
-                sender=sender,
-                recipient=recipient,
-                payload=type(payload).__name__,
-                at=now,
-            )
-            return True
-        return False
-
-    def _ship(
-        self,
-        sender: str,
-        recipient: str,
-        payload: object,
-        now: float,
-        payload_json: str | None = None,
-    ) -> None:
-        if self._drop_check(sender, recipient, payload, now):
-            return
-        if payload_json is not None:
-            shipped = self.transport.ship_encoded(
-                recipient, self.name, sender, now, payload_json
-            )
-        else:
-            shipped = self.transport.ship(recipient, self.name, sender, payload, now)
-        if not shipped:
-            # Link down: the frame is lost exactly like a dropped
-            # message; the protocol's timeouts recover.
-            self.stats.dropped += 1
-            self._notify(
-                "drop",
-                channel=self.name,
-                sender=sender,
-                recipient=recipient,
-                payload=type(payload).__name__,
-                at=now,
-            )
-
-    def _deliver_local(
-        self, sender: str, recipient: str, payload: object, now: float
-    ) -> None:
-        """Zero-copy delivery between members sharing this transport."""
-        if self._drop_check(sender, recipient, payload, now):
-            return
-        self.scheduler.call_soon(
-            lambda: self._handle(
-                WireFrame(self.name, sender, recipient, 0, now, payload)
-            )
-        )
+        return carry
 
     def _on_frame(self, frame: WireFrame) -> None:
         # Decouple handler execution from the socket-reader task so
         # runtime callbacks never run inside the transport read loop.
-        self.scheduler.call_soon(lambda: self._handle(frame))
-
-    def _handle(self, frame: WireFrame) -> None:
-        delivered_at = self.scheduler.now()
-        handler = self._local.get(frame.recipient)
-        if handler is None or self.faults.is_crashed(delivered_at, frame.recipient):
-            self.stats.undeliverable += 1
-            self._notify(
-                "undeliverable",
-                channel=self.name,
-                sender=frame.sender,
-                recipient=frame.recipient,
-                payload=type(frame.payload).__name__,
-                at=delivered_at,
-            )
-            return
-        self.stats.deliveries += 1
-        self._notify(
-            "deliver",
-            channel=self.name,
-            sender=frame.sender,
-            recipient=frame.recipient,
-            payload=type(frame.payload).__name__,
-            at=delivered_at,
-        )
-        handler(
-            Envelope(
-                channel=self.name,
-                sender=frame.sender,
-                recipient=frame.recipient,
-                payload=frame.payload,
-                sent_at=frame.sent_at,
-                delivered_at=delivered_at,
+        self.scheduler.call_soon(
+            lambda: self._arrive(
+                frame.sender, frame.recipient, frame.payload, frame.sent_at
             )
         )
 
 
-class NetworkMeshPair:
-    """The runtime's two channels over one :class:`NodeTransport`.
-
-    Mirrors :class:`repro.net.mesh.MeshPair` — "The GUESSTIMATE runtime
-    uses two meshes, one for sending signals and another for passing
-    operations" — multiplexed over the node's single server and links.
-    """
+class NetworkMeshPair(ChannelPair):
+    """Both channels over one :class:`NodeTransport`'s server and links."""
 
     def __init__(self, transport: NodeTransport):
-        self.transport = transport
-        self.signals = transport.channel("signals")
-        self.operations = transport.channel("operations")
-
-    def join(self, node_id: str, signal_handler: Handler, ops_handler: Handler) -> None:
-        self.signals.join(node_id, signal_handler)
-        self.operations.join(node_id, ops_handler)
-
-    def leave(self, node_id: str) -> None:
-        self.signals.leave(node_id)
-        self.operations.leave(node_id)
-
-    @property
-    def members(self) -> list[str]:
-        return self.signals.members
+        super().__init__(transport.channel)

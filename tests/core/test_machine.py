@@ -43,20 +43,6 @@ class TestQueues:
             model.enqueue_pending(entry)
         assert [e.key.op_number for e in model.take_pending()] == [1, 2, 3]
 
-    def test_requeue_front_restores_order_and_index(self):
-        model = MachineModel("m01")
-        op = PrimitiveOp("c1", "increment", (5,))
-        entries = [make_entry(model, op) for _ in range(3)]
-        for entry in entries:
-            model.enqueue_pending(entry)
-        taken = model.take_pending()
-        late = make_entry(model, op)
-        model.enqueue_pending(late)
-        # flush overflow puts the untaken tail back at the head of P
-        model.requeue_pending_front(taken[1:])
-        assert [e.key.op_number for e in model.pending] == [2, 3, 4]
-        assert model.pending == [*taken[1:], late]
-
     def test_completed_bookkeeping(self):
         model = MachineModel("m01")
         op = PrimitiveOp("c1", "increment", (5,))

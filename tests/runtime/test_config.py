@@ -25,6 +25,7 @@ class TestOptionSurface:
         assert "parallel_flush" not in names
         assert "delta_refresh" not in names
         assert "failover_timeout" not in names
+        assert "max_ops_per_flush" not in names
         # An old cluster.yaml that still sets the retired round
         # pipelining depth fails loudly instead of running depth 1.
         old = {

@@ -4,7 +4,7 @@ updates."""
 import pytest
 
 from repro.errors import NodeCrashedError
-from repro.net.faults import CrashPlan, ScheduledFaults
+from repro.net.faults import CrashPlan, DropPlan, ScheduledFaults
 from repro.runtime.config import RuntimeConfig, SyncConfig
 from repro.runtime.system import DistributedSystem
 from tests.helpers import Counter, quick_system, shared_counter
@@ -159,3 +159,43 @@ class TestOfflineUpdates:
         system.run_until_quiesced()
         histogram = system.metrics.node("m03").execution_histogram()
         assert max(histogram) <= 3
+
+    def test_offline_while_waiting_for_missing_ops(self):
+        """A node that leaves while its round waits for lost operations
+        signals nothing until it is back, then rejoins cleanly."""
+        faults = ScheduledFaults(
+            drops=[
+                DropPlan(0.0, 1e9, sender="m02", recipient="m03",
+                         payload_type="OpBatch", max_drops=1000)
+            ]
+        )
+        system = quick_system(3, faults=faults)
+        replicas, uid = shared_counter(system)
+        api = system.api("m02")
+        api.issue_operation(api.create_operation(replicas["m02"], "increment", 10))
+        node = system.node("m03")
+
+        def waiting() -> bool:
+            return any(
+                round_state.counts is not None and round_state.missing_timer is not None
+                for round_state in node.synchronizer.rounds.values()
+            )
+
+        while not waiting():
+            assert system.loop.step()
+        node.go_offline()
+        from_m03 = []
+
+        def record(event, info):
+            if info["sender"] == "m03":
+                from_m03.append(info["payload"])
+
+        system.meshes.signals.observers.append(record)
+        system.run_for(5.0)
+        assert from_m03 == ["Goodbye", "Goodbye"]  # the leaving broadcast only
+
+        node.come_online()
+        system.run_until_quiesced()
+        assert node.state == "active"
+        assert node.model.committed.get(uid).value == 1
+        system.check_all_invariants()

@@ -4,7 +4,10 @@ The runtime is written against :class:`repro.net.interface.BroadcastChannel`;
 this suite pins the delivery semantics both implementations must share
 (see the interface module docstring): no self-delivery, asynchronous
 handlers, ``NotInMeshError`` for non-member senders, undeliverable
-counting instead of exceptions, observer events, assignable faults.
+counting instead of exceptions, observer events, assignable faults,
+crashed senders and recipients, drop plans.  Both carriers inherit that
+code from the one channel implementation; the last test here keeps it
+there.
 
 The simulated :class:`~repro.net.mesh.Mesh` runs on the deterministic
 event loop; :class:`~repro.transport.netmesh.NetworkMesh` runs on a real
@@ -17,17 +20,21 @@ from __future__ import annotations
 
 import asyncio
 import random
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import NotInMeshError
-from repro.net.faults import ProbabilisticDrops
+from repro.net.faults import CrashPlan, DropPlan, ProbabilisticDrops, ScheduledFaults
 from repro.net.interface import BroadcastChannel
 from repro.net.latency import ConstantLatency
 from repro.net.mesh import Mesh
 from repro.sim.eventloop import EventLoop
 from repro.transport.netmesh import NetworkMesh, NodeTransport
 from repro.transport.scheduler import AsyncioScheduler
+
+FOREVER = float("inf")
 
 
 class SimHarness:
@@ -179,3 +186,80 @@ class TestConformance:
         harness.mesh.broadcast("a", "x")
         harness.run()
         assert harness.mesh.stats.payload_counts == {"str": 1}
+
+    def test_crashed_sender_sends_nothing(self, harness):
+        got = []
+        harness.mesh.join("a", lambda env: None)
+        harness.mesh.join("b", got.append)
+        harness.mesh.faults = ScheduledFaults(crashes=[CrashPlan("a", 0.0, FOREVER)])
+        assert harness.mesh.broadcast("a", "x") == 0
+        harness.mesh.send("a", "b", "y")
+        harness.run()
+        assert got == []
+        assert harness.mesh.stats.payload_counts == {}
+
+    def test_recipient_crashed_at_delivery_is_undeliverable(self, harness):
+        got, events = [], []
+        harness.mesh.observers.append(lambda event, info: events.append(event))
+        harness.mesh.join("a", lambda env: None)
+        harness.mesh.join("b", got.append)
+        harness.mesh.faults = ScheduledFaults(crashes=[CrashPlan("b", 0.0, FOREVER)])
+        assert harness.mesh.broadcast("a", "x") == 1
+        harness.run()
+        assert got == []
+        assert harness.mesh.stats.undeliverable == 1
+        assert events == ["undeliverable"]
+
+    def test_events_carry_the_same_info_on_both_carriers(self, harness):
+        keys = {}
+        harness.mesh.observers.append(
+            lambda event, info: keys.setdefault(event, set(info))
+        )
+        harness.mesh.join("a", lambda env: None)
+        harness.mesh.join("b", lambda env: None)
+        harness.mesh.join("c", lambda env: None)
+        harness.mesh.faults = ScheduledFaults(
+            drops=[DropPlan(0.0, FOREVER, recipient="b")],
+            crashes=[CrashPlan("c", 0.0, FOREVER)],
+        )
+        harness.mesh.broadcast("a", "x")  # b's copy dropped, c crashed
+        harness.mesh.broadcast("a", "y")  # b's copy delivered
+        harness.run()
+        info = {"channel", "sender", "recipient", "payload", "at"}
+        assert keys == {"drop": info, "undeliverable": info, "deliver": info}
+
+    def test_drop_plan_by_payload_type_eats_exactly_max_drops(self, harness):
+        got = []
+        harness.mesh.join("a", lambda env: None)
+        harness.mesh.join("b", lambda env: got.append(env.payload))
+        harness.mesh.faults = ScheduledFaults(
+            drops=[DropPlan(0.0, FOREVER, payload_type="str", max_drops=2)]
+        )
+        for payload in ("x1", 7, "x2", "x3"):
+            harness.mesh.send("a", "b", payload)
+        harness.run()
+        assert got == [7, "x3"]
+        assert harness.mesh.stats.dropped == 2
+
+    def test_send_to_self_is_delivered(self, harness):
+        got = []
+        harness.mesh.join("a", got.append)
+        harness.mesh.send("a", "a", "me")
+        harness.run()
+        assert [(env.sender, env.recipient, env.payload) for env in got] == [
+            ("a", "a", "me")
+        ]
+
+
+
+def test_fault_and_arrival_code_lives_in_the_shared_channel():
+    """Both carriers run the one copy of the loss decision, the crash
+    checks and arrival; a carrier only moves payloads."""
+    root = Path(repro.__file__).parent
+    for token in ("should_drop(", "is_crashed(", "Envelope("):
+        users = {
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if token in path.read_text(encoding="utf-8")
+        }
+        assert users <= {"net/interface.py", "net/faults.py"}, token

@@ -13,6 +13,7 @@ import socket
 import pytest
 
 from repro.errors import NotInMeshError
+from repro.net.faults import ProbabilisticDrops
 from repro.runtime import messages as msg
 from repro.transport.framing import WireFrame
 from repro.transport.netmesh import NetworkMeshPair, NodeTransport
@@ -119,6 +120,26 @@ class TestDelivery:
                 assert a.stats.frames_sent == 0
             finally:
                 await a.stop()
+
+        asyncio.run(scenario())
+
+    def test_injected_drop_to_a_peer_never_reaches_the_wire(self):
+        async def scenario():
+            a, b = await make_pair()
+            try:
+                events = []
+                mesh = a.channel("signals")
+                mesh.join("a", lambda env: None)
+                mesh.observers.append(lambda event, info: events.append(event))
+                await wait_for(lambda: a.links["b"].connected)
+                mesh.faults = ProbabilisticDrops(1.0)
+                assert mesh.broadcast("a", msg.Hello("a")) == 1
+                assert a.stats.frames_sent == 0
+                assert mesh.stats.dropped == 1
+                assert events == ["drop"]
+            finally:
+                await a.stop()
+                await b.stop()
 
         asyncio.run(scenario())
 
