@@ -166,6 +166,7 @@ class GuesstimateNode(Host):
         """Gracefully exit the system."""
         self.signals_mesh.broadcast(self.machine_id, msg.Goodbye(self.machine_id))
         self.meshes.leave(self.machine_id)
+        self.synchronizer.drop_rounds()
         self.storage.close()
         self.state = GuesstimateNode.STATE_STOPPED
 
@@ -179,6 +180,7 @@ class GuesstimateNode(Host):
         """
         if self.meshes.signals.is_member(self.machine_id):
             self.meshes.leave(self.machine_id)
+        self.synchronizer.drop_rounds()
         if self.master is not None:
             self.master.stop(hard=True)
         self.storage.close()

@@ -167,6 +167,9 @@ class Cluster:
         if master is not None:
             master.stop()
 
+    def shutdown(self) -> None:
+        """Release sockets and loop; the simulator holds neither."""
+
     # -- correctness probes ------------------------------------------------------------
 
     def quiesced(self) -> bool:

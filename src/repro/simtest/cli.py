@@ -3,7 +3,7 @@
 Subcommands::
 
     simfuzz run --seeds 100 [--start N] [--max-time S] [--trace-dir DIR]
-                [--transport sim|loopback] [--workload NAME]
+                [--mutation NAME] [--transport sim|loopback] [--workload NAME]
     simfuzz replay <seed> [--mutation NAME] [--workload NAME]
     simfuzz shrink <seed> [--mutation NAME] [--workload NAME]
     simfuzz selftest [--mutation NAME] [--max-seeds N] [--workload NAME]
@@ -49,30 +49,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for violation in outcome.violations:
             print(f"    {violation}")
 
-    if args.transport == "loopback":
-        if args.mutation is not None:
-            print("error: --mutation is simulation-only (loopback runs unmutated)")
-            return 2
-        from repro.transport.loopback import sweep_seeds
-
-        report = sweep_seeds(
-            args.seeds,
-            start=args.start,
-            max_time=args.max_time,
-            trace_dir=args.trace_dir,
-            progress=progress,
-            workload=args.workload,
-        )
-    else:
-        report = fuzz.run_seeds(
-            args.seeds,
-            start=args.start,
-            max_time=args.max_time,
-            mutation=args.mutation,
-            trace_dir=args.trace_dir,
-            progress=progress,
-            workload=args.workload,
-        )
+    report = fuzz.run_seeds(
+        args.seeds,
+        start=args.start,
+        max_time=args.max_time,
+        mutation=args.mutation,
+        trace_dir=args.trace_dir,
+        progress=progress,
+        workload=args.workload,
+        transport=args.transport,
+    )
     print(
         f"\n{report.seeds_run} seed(s) run, {len(report.failures)} failing"
         + (" (stopped early: wall-clock budget)" if report.stopped_early else "")

@@ -1,13 +1,16 @@
 """The fuzzer's top-level verbs: sweep seeds, replay one, self-test.
 
-``run_seeds`` is the nightly driver: generate-and-run a range of
-seeds, collect violations, and (optionally) write each failing seed's
-scenario spec and full trace as JSONL artifacts a colleague can replay.
-``replay`` runs one seed twice and insists the traces are
-byte-identical — the determinism guarantee the whole subsystem rests
-on.  ``selftest`` is the fuzzer fuzzing itself: inject a known
-protocol mutation, check a violation is reported, the failing seed
-replays bit-identically, and the shrinker cuts the scenario down.
+``run_seeds`` is the one sweep driver, on the simulator or over
+loopback sockets (``transport``, see
+:func:`repro.simtest.runner.run_scenario`): generate-and-run a range
+of seeds, collect violations, and (optionally) write each failing
+seed's scenario spec — plus, on the simulator, its full JSONL trace —
+as artifacts a colleague can replay.  ``replay`` runs one seed twice
+and insists the traces are byte-identical — the determinism guarantee
+the whole subsystem rests on.  ``selftest`` is the fuzzer fuzzing
+itself: inject a known protocol mutation, check a violation is
+reported, the failing seed replays bit-identically, and the shrinker
+cuts the scenario down.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.simtest.runner import RunResult, run_scenario
+from repro.simtest.runner import RunResult, run_scenario, scale_scenario
 from repro.simtest.scenario import generate_scenario
 from repro.simtest.shrink import ShrinkResult, shrink
 
@@ -57,21 +60,22 @@ class ReplayReport:
     violations: list[str]
 
 
-def _write_failure_artifacts(trace_dir: str, outcome: SeedOutcome, result: RunResult) -> None:
+def _write_failure_artifacts(
+    trace_dir: str, outcome: SeedOutcome, result: RunResult, transport: str
+) -> None:
     os.makedirs(trace_dir, exist_ok=True)
     base = os.path.join(trace_dir, f"seed-{outcome.seed}")
+    artifact = {
+        "seed": outcome.seed,
+        "transport": transport,
+        "spec": result.spec.to_dict(),
+        "violations": outcome.violations,
+        "trace_digest": outcome.trace_digest,
+    }
+    if transport == "loopback":
+        artifact["scaled_spec"] = scale_scenario(result.spec).to_dict()
     with open(base + ".json", "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "seed": outcome.seed,
-                "spec": result.spec.to_dict(),
-                "violations": outcome.violations,
-                "trace_digest": outcome.trace_digest,
-            },
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(artifact, handle, indent=2, sort_keys=True)
     if result.trace is not None:
         with open(base + ".trace.jsonl", "w", encoding="utf-8") as handle:
             handle.write(result.trace.to_jsonl())
@@ -86,14 +90,16 @@ def run_seeds(
     record_traces: bool = True,
     progress=None,
     workload: str | None = None,
+    transport: str = "sim",
 ) -> FuzzReport:
-    """Fuzz seeds ``start .. start+n_seeds-1``.
+    """Fuzz seeds ``start .. start+n_seeds-1`` on ``transport``.
 
     ``max_time`` bounds *wall-clock* seconds (for CI smoke jobs); the
     sweep stops cleanly after the scenario that crosses the budget.
-    Failing seeds get ``seed-<n>.json`` + ``seed-<n>.trace.jsonl``
-    artifacts under ``trace_dir`` if one is given.  ``workload`` pins
-    every scenario to one workload (zoo coverage sweeps).
+    Failing seeds get ``seed-<n>.json`` (+ ``seed-<n>.trace.jsonl`` on
+    the simulator) artifacts under ``trace_dir`` if one is given.
+    ``workload`` pins every scenario to one workload (zoo coverage
+    sweeps).
     """
     report = FuzzReport()
     clock_start = time.monotonic()
@@ -102,7 +108,9 @@ def run_seeds(
             report.stopped_early = True
             break
         spec = generate_scenario(seed, workload=workload)
-        result = run_scenario(spec, record_trace=record_traces, mutation=mutation)
+        result = run_scenario(
+            spec, record_trace=record_traces, mutation=mutation, transport=transport
+        )
         outcome = SeedOutcome(
             seed=seed,
             violations=result.violations,
@@ -116,7 +124,7 @@ def run_seeds(
         if result.violations:
             report.failures.append(outcome)
             if trace_dir is not None:
-                _write_failure_artifacts(trace_dir, outcome, result)
+                _write_failure_artifacts(trace_dir, outcome, result, transport)
         if progress is not None:
             progress(outcome)
     return report

@@ -1,9 +1,13 @@
 """Scenario execution: spec in, violations + trace out.
 
-The runner owns the full life of one simulated run:
+The runner owns the full life of one scenario run, on either cluster:
 
-1. build the system from the spec (durability on, the sync config
-   spelled out field by field);
+1. build the cluster from the spec (durability on, the sync config
+   spelled out field by field) — a simulated
+   :class:`~repro.runtime.system.DistributedSystem` (``transport="sim"``)
+   or a :class:`~repro.transport.loopback.LoopbackCluster` of real TCP
+   sockets on 127.0.0.1 running :func:`scale_scenario`'s projection of
+   the spec (``transport="loopback"``);
 2. run workload setup to a quiescent baseline, *then* install the
    fault plan with its windows shifted past setup — chaos belongs in
    steady state, not in object creation;
@@ -15,19 +19,26 @@ The runner owns the full life of one simulated run:
    to quiescence, and run the deep probes (runtime invariants, formal
    invariants, simulation-relation replay, storage replay).
 
+Steps 2–5 are one code path for both clusters, so a socket run faces
+the same probes as a simulated one.  Only the simulator records a
+trace (the recorder hooks its event loop); times in violations and
+``virtual_end`` are measured from the cluster's start (virtual
+seconds, or wall seconds over sockets).
+
 Everything observable lands in :class:`RunResult`; the run itself
-never raises — wedges and unexpected exceptions become violations so
-the fuzzer can keep sweeping seeds.
+never raises — wedges, unexpected exceptions and scheduler callback
+errors become violations so the fuzzer can keep sweeping seeds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from repro.core.guesstimate import Guesstimate
 from repro.errors import GuesstimateError, RuntimeFailure
 from repro.runtime.config import RuntimeConfig, SyncConfig
-from repro.runtime.system import DistributedSystem
+from repro.runtime.system import Cluster, DistributedSystem
 from repro.simtest.mutations import apply_mutation
 from repro.simtest.probes import (
     atomic_probe,
@@ -43,6 +54,7 @@ from repro.simtest.probes import (
 from repro.simtest.scenario import ScenarioSpec, build_faults
 from repro.simtest.trace import SimTrace, SimTraceRecorder
 from repro.simtest.workload import build_workload
+from repro.transport.loopback import LoopbackCluster
 
 #: Probe cadence in simulated seconds while the workload runs.
 CHECKPOINT_EVERY = 5.0
@@ -120,32 +132,86 @@ def build_config(spec: ScenarioSpec) -> RuntimeConfig:
     )
 
 
+def scale_scenario(
+    spec: ScenarioSpec, time_scale: float = 0.1, max_duration: float = 2.5
+) -> ScenarioSpec:
+    """The faultless, wall-clock-budgeted projection a loopback run executes.
+
+    Fault and churn plans are cleared — socket runs exercise real
+    connection loss separately (see the reconnect tests); here the
+    question is whether the *healthy-path* protocol behaves identically
+    over TCP.  Time-like fields shrink by ``time_scale`` (with floors
+    that keep wall-clock timers meaningful) so a 60-virtual-second
+    scenario costs ~2 wall seconds.
+    """
+    return dataclasses.replace(
+        spec,
+        duration=min(max_duration, spec.duration * time_scale),
+        sync_interval=max(0.05, spec.sync_interval * time_scale),
+        stall_timeout=max(0.5, spec.stall_timeout * time_scale),
+        think_mean=max(0.04, spec.think_mean * time_scale),
+        drops=(),
+        crashes=(),
+        partitions=(),
+        commit_crashes=(),
+        churn=(),
+    )
+
+
+def _build_cluster(spec: ScenarioSpec, transport: str) -> Cluster:
+    """The cluster ``spec`` runs on, booted and ready to start."""
+    if transport == "sim":
+        return DistributedSystem(spec.n_machines, seed=spec.seed, config=build_config(spec))
+    if transport == "loopback":
+        cluster = LoopbackCluster(spec.n_machines, config=build_config(spec), seed=spec.seed)
+        cluster.boot()
+        return cluster
+    raise ValueError(f"unknown transport {transport!r}")
+
+
 def run_scenario(
     spec: ScenarioSpec,
     record_trace: bool = True,
     mutation: str | None = None,
+    transport: str = "sim",
 ) -> RunResult:
-    """Execute one scenario start to finish; never raises."""
+    """Execute one scenario start to finish; never raises once booted.
+
+    ``transport="loopback"`` runs :func:`scale_scenario`'s projection of
+    ``spec`` over real sockets and records no trace.
+    """
     # The facade's instance counter is process-global; replaying a seed
     # in the same process must mint the same unique ids.
     Guesstimate._reset_id_counter()
 
-    system = DistributedSystem(spec.n_machines, seed=spec.seed, config=build_config(spec))
+    run_spec = scale_scenario(spec) if transport == "loopback" else spec
+    system = _build_cluster(run_spec, transport)
+    origin = system.loop.now()
     result = RunResult(spec=spec)
-    recorder = SimTraceRecorder(system) if record_trace else None
+    recorder = SimTraceRecorder(system) if record_trace and transport == "sim" else None
     if recorder is not None:
         result.trace = recorder.attach()
 
     with apply_mutation(mutation):
         try:
-            _execute(system, spec, result)
+            _execute(system, run_spec, result, origin)
         except Exception as exc:  # noqa: BLE001 - a crash IS a finding
             result.violations.append(
-                f"t={system.loop.now():.2f} runtime exception: {exc!r}"
+                f"t={system.loop.now() - origin:.2f} runtime exception: {exc!r}"
             )
+    # The simulator's callbacks raise through run_for; a wall-clock
+    # scheduler must keep serving, so it collects them instead.
+    result.violations.extend(
+        f"scheduler callback raised: {error!r}"
+        for error in getattr(system.loop, "errors", ())
+    )
     if recorder is not None:
         recorder.detach()
-    result.virtual_end = system.loop.now()
+    result.virtual_end = system.loop.now() - origin
+    try:
+        system.shutdown()
+    except Exception as exc:  # noqa: BLE001 - teardown must not mask
+        result.violations.append(f"shutdown failed: {exc!r}")
     master = system.master_node
     result.committed_total = master.completed_offset + master.model.completed_count
     nodes = system.metrics.node_metrics.values()
@@ -159,7 +225,7 @@ def run_scenario(
     return result
 
 
-def _execute(system: DistributedSystem, spec: ScenarioSpec, result: RunResult) -> None:
+def _execute(system: Cluster, spec: ScenarioSpec, result: RunResult, origin: float) -> None:
     loop = system.loop
     system.start(first_sync_delay=0.1)
     workload = build_workload(spec, system)
@@ -168,15 +234,16 @@ def _execute(system: DistributedSystem, spec: ScenarioSpec, result: RunResult) -
     # Steady state reached: arm the fault plan relative to *now*.
     t0 = loop.now()
     injector = build_faults(spec, offset=t0)
-    system.meshes.signals.faults = injector
-    system.meshes.operations.faults = injector
+    for node in system.nodes.values():
+        node.meshes.signals.faults = injector
+        node.meshes.operations.faults = injector
     _schedule_churn(system, spec, workload)
 
     workload.start()
     end = t0 + spec.duration
     while loop.now() < end - 1e-9:
         system.run_for(min(CHECKPOINT_EVERY, end - loop.now()))
-        now = loop.now()
+        now = loop.now() - origin
         checks = (
             checkpoint_probe(system)
             + storage_probe(system)
@@ -193,9 +260,9 @@ def _execute(system: DistributedSystem, spec: ScenarioSpec, result: RunResult) -
         system.run_until_quiesced(max_time=60.0 + 20.0 * spec.stall_timeout)
     except GuesstimateError as exc:
         result.wedged = True
-        result.violations.append(f"t={loop.now():.2f} wedged: {exc}")
+        result.violations.append(f"t={loop.now() - origin:.2f} wedged: {exc}")
         return
-    now = loop.now()
+    now = loop.now() - origin
     deep = (
         quiescence_probe(system)
         + storage_probe(system)

@@ -86,96 +86,8 @@ class SudokuWorkload:
         return self.session.stats.actions
 
 
-class BoardWorkload:
-    """Low-conflict contrast workload: everyone posts to shared topics.
-
-    Unlike Sudoku players, board users keep posting while *offline*
-    (state ``offline`` issues against the guesstimate and merges on
-    return), which is exactly the reconnection path worth fuzzing.
-    """
-
-    def __init__(self, spec: "ScenarioSpec", system: "DistributedSystem"):
-        self.system = system
-        self.spec = spec
-        self.rng = seeded_stream("board-actions", spec.seed)
-        self.topics = [f"topic-{index}" for index in range(spec.n_grids)]
-        self.board_id: str | None = None
-        self._messages = 0
-        self.session: MixedAppSession | None = None
-
-    def setup(self) -> None:
-        creator = self.system.api(self.system.machine_ids()[0])
-        board = creator.create_instance(MessageBoard)
-        self.board_id = board.unique_id
-        for topic in self.topics:
-            creator.invoke(board, "create_topic", topic)
-        self.system.run_until_quiesced(max_time=120.0)
-        users = {
-            machine_id: self._thunks(machine_id)
-            for machine_id in self.system.machine_ids()
-        }
-        self.session = MixedAppSession(
-            self.system,
-            users,
-            activity=ActivityModel.busy(self.spec.think_mean),
-            seed=derive_seed(self.spec.seed, "board-session"),
-        )
-
-    def start(self) -> None:
-        assert self.session is not None
-        self.session.start()
-
-    def stop(self) -> None:
-        if self.session is not None:
-            self.session.stop()
-
-    def on_join(self, machine_id: str) -> None:
-        assert self.session is not None
-        self.session.users[machine_id] = self._thunks(machine_id)
-        self.session._schedule(machine_id)
-
-    def actions(self) -> int:
-        return self.session.stats.actions if self.session is not None else 0
-
-    # -- user actions ------------------------------------------------------------
-
-    def _thunks(self, machine_id: str) -> list[tuple[float, callable]]:
-        return [
-            (5.0, lambda: self._post(machine_id)),
-            (1.0, lambda: self._delete(machine_id)),
-        ]
-
-    def _issuable(self, machine_id: str) -> bool:
-        node = self.system.nodes.get(machine_id)
-        return node is not None and node.state in ("active", "offline")
-
-    def _post(self, machine_id: str) -> None:
-        if not self._issuable(machine_id):
-            return
-        topic = self.rng.choice(self.topics)
-        self._messages += 1
-        text = f"msg-{self._messages}"
-        try:
-            self.system.api(machine_id).invoke(
-                self.board_id, "post", topic, machine_id, text
-            )
-        except (IssueBlockedError, NodeCrashedError, UnknownObjectError):
-            pass  # machine mid-(re)join; its user simply loses a turn
-
-    def _delete(self, machine_id: str) -> None:
-        if not self._issuable(machine_id):
-            return
-        topic = self.rng.choice(self.topics)
-        index = self.rng.randrange(4)
-        try:
-            self.system.api(machine_id).invoke(
-                self.board_id, "delete_post", topic, index, machine_id
-            )
-        except (IssueBlockedError, NodeCrashedError, UnknownObjectError):
-            pass
-
 class _SessionWorkload:
-    """Shared plumbing for the zoo adapters (mirrors BoardWorkload).
+    """Shared plumbing for the session adapters (board and the zoo).
 
     Subclasses create their shared objects in :meth:`_create_objects`
     and describe per-machine traffic in :meth:`_thunks`; everything
@@ -251,6 +163,48 @@ class _SessionWorkload:
     def _fresh(self, prefix: str) -> str:
         self._counter += 1
         return f"{prefix}-{self._counter}"
+
+
+class BoardWorkload(_SessionWorkload):
+    """Low-conflict contrast workload: everyone posts to shared topics.
+
+    Unlike Sudoku players, board users keep posting while *offline*
+    (state ``offline`` issues against the guesstimate and merges on
+    return), which is exactly the reconnection path worth fuzzing.
+    """
+
+    stream_name = "board"
+
+    def _create_objects(self, creator) -> None:
+        board = creator.create_instance(MessageBoard)
+        self.board_id = board.unique_id
+        self.topics = [f"topic-{index}" for index in range(self.spec.n_grids)]
+        for topic in self.topics:
+            creator.invoke(board, "create_topic", topic)
+
+    def _thunks(self, machine_id: str) -> list[tuple[float, callable]]:
+        return [
+            (5.0, lambda: self._post(machine_id)),
+            (1.0, lambda: self._delete(machine_id)),
+        ]
+
+    # An absent or crashed machine draws nothing: the issuable check
+    # comes before the topic draw, as the rng stream expects.
+
+    def _post(self, machine_id: str) -> None:
+        if self._issuable(machine_id):
+            topic = self.rng.choice(self.topics)
+            self._invoke(
+                machine_id, self.board_id, "post", topic, machine_id, self._fresh("msg")
+            )
+
+    def _delete(self, machine_id: str) -> None:
+        if self._issuable(machine_id):
+            topic = self.rng.choice(self.topics)
+            index = self.rng.randrange(4)
+            self._invoke(
+                machine_id, self.board_id, "delete_post", topic, index, machine_id
+            )
 
 
 class ListDocWorkload(_SessionWorkload):

@@ -25,8 +25,9 @@ Layers, bottom to top:
 * :mod:`repro.transport.daemon` — the per-node process behind
   ``python -m repro.cli serve``.
 * :mod:`repro.transport.loopback` — the verification twin: whole
-  clusters on 127.0.0.1 sockets in one process, probed by the same
-  invariants as the simulator.
+  clusters on 127.0.0.1 sockets in one process, on which simfuzz's one
+  scenario runner (``run_scenario(..., transport="loopback")``) runs
+  the same workloads and probes as on the simulator.
 """
 
 from repro.transport.framing import FrameDecoder, WireFrame, encode_frame

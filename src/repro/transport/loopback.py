@@ -1,8 +1,4 @@
-"""Loopback harness: the real transport under the simulator's oracles.
-
-The deterministic simulator is the reproduction's verification twin;
-this module points the same workloads and invariant probes at a
-cluster of nodes that genuinely talk TCP on 127.0.0.1.
+"""Loopback harness: a whole cluster of real TCP nodes on 127.0.0.1.
 
 :class:`LoopbackCluster` shares the driver surface of
 :class:`~repro.runtime.system.DistributedSystem` (``nodes``, ``api``,
@@ -15,26 +11,20 @@ All nodes live on one asyncio loop in one process, each with its own
 :class:`~repro.transport.netmesh.NodeTransport` (own TCP server, own
 peer links), so every inter-node message really crosses a socket.
 
-:func:`run_scenario_loopback` runs the faultless projection of a
-simfuzz scenario against sockets and judges it with the simulator's own
-probes (committed-prefix agreement, storage replay, runtime
-invariants); :func:`sweep_seeds` is the CI sweep driver mirroring
-:func:`repro.simtest.fuzz.run_seeds`.
+This makes it the simulator's verification twin: simfuzz runs its
+scenarios on it through the one runner
+(``repro.simtest.runner.run_scenario(spec, transport="loopback")``),
+judged by every probe a simulated run faces.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import dataclasses
-import json
-import os
 import threading
 import time
-from dataclasses import dataclass, field
 
-from repro.core.guesstimate import Guesstimate
-from repro.errors import ExperimentError, GuesstimateError, SimulationError
+from repro.errors import ExperimentError, SimulationError
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.metrics import SystemMetrics
 from repro.runtime.node import GuesstimateNode
@@ -174,168 +164,3 @@ class LoopbackCluster(Cluster):
         self.aio_loop.call_soon_threadsafe(self.aio_loop.stop)
         self._thread.join(timeout=10.0)
         self._thread = None
-
-
-# ---------------------------------------------------------------------------
-# simfuzz over sockets
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LoopbackOutcome:
-    """One scenario's socket run (mirrors ``fuzz.SeedOutcome``)."""
-
-    seed: int
-    violations: list[str]
-    committed_total: int
-    actions: int
-    virtual_end: float
-    trace_digest: str | None = None  # loopback runs record no trace
-
-
-@dataclass
-class LoopbackReport:
-    """A loopback seed sweep (mirrors ``fuzz.FuzzReport``)."""
-
-    seeds_run: int = 0
-    failures: list[LoopbackOutcome] = field(default_factory=list)
-    outcomes: list[LoopbackOutcome] = field(default_factory=list)
-    stopped_early: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def scale_scenario(spec, time_scale: float = 0.1, max_duration: float = 2.5):
-    """The faultless, wall-clock-budgeted projection of a sim scenario.
-
-    Fault and churn plans are cleared — socket runs exercise real
-    connection loss separately (see the reconnect tests); here the
-    question is whether the *healthy-path* protocol behaves identically
-    over TCP.  Time-like fields shrink by ``time_scale`` (with floors
-    that keep wall-clock timers meaningful) so a 60-virtual-second
-    scenario costs ~2 wall seconds.
-    """
-    from repro.simtest.scenario import ScenarioSpec  # local: keep import light
-
-    assert isinstance(spec, ScenarioSpec)
-    return dataclasses.replace(
-        spec,
-        duration=min(max_duration, spec.duration * time_scale),
-        sync_interval=max(0.05, spec.sync_interval * time_scale),
-        stall_timeout=max(0.5, spec.stall_timeout * time_scale),
-        think_mean=max(0.04, spec.think_mean * time_scale),
-        drops=(),
-        crashes=(),
-        partitions=(),
-        commit_crashes=(),
-        churn=(),
-    )
-
-
-def run_scenario_loopback(
-    spec, time_scale: float = 0.1, max_duration: float = 2.5
-) -> LoopbackOutcome:
-    """Run one scenario's faultless projection over real sockets.
-
-    Judged by the simulator's own oracles: committed-prefix agreement
-    (checkpoint probe), storage replay, and the cluster invariants at
-    quiescence.  Never raises — failures become violations, so sweeps
-    keep going.
-    """
-    from repro.simtest.probes import checkpoint_probe, storage_probe
-    from repro.simtest.runner import build_config
-    from repro.simtest.workload import build_workload
-
-    scaled = scale_scenario(spec, time_scale=time_scale, max_duration=max_duration)
-    Guesstimate._reset_id_counter()
-    cluster = LoopbackCluster(
-        scaled.n_machines, config=build_config(scaled), seed=scaled.seed
-    )
-    violations: list[str] = []
-    actions = 0
-    committed_total = 0
-    try:
-        cluster.boot()
-        cluster.start(first_sync_delay=0.05)
-        workload = build_workload(scaled, cluster)
-        workload.setup()
-        workload.start()
-        cluster.run_for(scaled.duration)
-        workload.stop()
-        actions = workload.actions()
-        try:
-            cluster.run_until_quiesced(max_time=10.0 + 10.0 * scaled.stall_timeout)
-        except SimulationError as exc:
-            violations.append(f"wedged: {exc}")
-        else:
-            violations.extend(checkpoint_probe(cluster))
-            violations.extend(storage_probe(cluster))
-            try:
-                cluster.check_all_invariants()
-            except GuesstimateError as exc:
-                violations.append(f"runtime invariant: {exc}")
-        violations.extend(
-            f"scheduler callback raised: {error!r}" for error in cluster.loop.errors
-        )
-        master = cluster.master_node
-        committed_total = master.completed_offset + master.model.completed_count
-    except Exception as exc:  # noqa: BLE001 - a crash IS a finding
-        violations.append(f"loopback runtime exception: {exc!r}")
-    finally:
-        try:
-            cluster.shutdown()
-        except Exception as exc:  # noqa: BLE001 - teardown must not mask
-            violations.append(f"shutdown failed: {exc!r}")
-    return LoopbackOutcome(
-        seed=spec.seed,
-        violations=violations,
-        committed_total=committed_total,
-        actions=actions,
-        virtual_end=scaled.duration,
-    )
-
-
-def sweep_seeds(
-    n_seeds: int,
-    start: int = 0,
-    max_time: float | None = None,
-    trace_dir: str | None = None,
-    progress=None,
-    workload: str | None = None,
-) -> LoopbackReport:
-    """Run a seed range over loopback sockets (CI's transport sweep)."""
-    from repro.simtest.scenario import generate_scenario
-
-    report = LoopbackReport()
-    clock_start = time.monotonic()
-    for seed in range(start, start + n_seeds):
-        if max_time is not None and time.monotonic() - clock_start > max_time:
-            report.stopped_early = True
-            break
-        spec = generate_scenario(seed, workload=workload)
-        outcome = run_scenario_loopback(spec)
-        report.seeds_run += 1
-        report.outcomes.append(outcome)
-        if outcome.violations:
-            report.failures.append(outcome)
-            if trace_dir is not None:
-                os.makedirs(trace_dir, exist_ok=True)
-                path = os.path.join(trace_dir, f"seed-{seed}.json")
-                with open(path, "w", encoding="utf-8") as handle:
-                    json.dump(
-                        {
-                            "seed": seed,
-                            "transport": "loopback",
-                            "spec": spec.to_dict(),
-                            "scaled_spec": scale_scenario(spec).to_dict(),
-                            "violations": outcome.violations,
-                        },
-                        handle,
-                        indent=2,
-                        sort_keys=True,
-                    )
-        if progress is not None:
-            progress(outcome)
-    return report

@@ -160,9 +160,19 @@ class TestOfflineUpdates:
         histogram = system.metrics.node("m03").execution_histogram()
         assert max(histogram) <= 3
 
-    def test_offline_while_waiting_for_missing_ops(self):
-        """A node that leaves while its round waits for lost operations
-        signals nothing until it is back, then rejoins cleanly."""
+    @pytest.mark.parametrize(
+        "depart, come_back, farewell",
+        [
+            ("go_offline", "come_online", ["Goodbye", "Goodbye"]),
+            ("leave", "recover_and_rejoin", ["Goodbye", "Goodbye"]),
+            ("halt", "recover_and_rejoin", []),
+        ],
+        ids=["go_offline", "leave", "halt"],
+    )
+    def test_offline_while_waiting_for_missing_ops(self, depart, come_back, farewell):
+        """A node that leaves the meshes — offline, gracefully or by a
+        hard kill — while its round waits for lost operations signals
+        nothing more until it is back, then rejoins cleanly."""
         faults = ScheduledFaults(
             drops=[
                 DropPlan(0.0, 1e9, sender="m02", recipient="m03",
@@ -183,7 +193,7 @@ class TestOfflineUpdates:
 
         while not waiting():
             assert system.loop.step()
-        node.go_offline()
+        getattr(node, depart)()
         from_m03 = []
 
         def record(event, info):
@@ -192,9 +202,9 @@ class TestOfflineUpdates:
 
         system.meshes.signals.observers.append(record)
         system.run_for(5.0)
-        assert from_m03 == ["Goodbye", "Goodbye"]  # the leaving broadcast only
+        assert from_m03 == farewell  # the leaving broadcast only
 
-        node.come_online()
+        getattr(node, come_back)()
         system.run_until_quiesced()
         assert node.state == "active"
         assert node.model.committed.get(uid).value == 1

@@ -4,13 +4,15 @@ The same scripted workload runs on the deterministic simulator
 (:class:`DistributedSystem`) and on :class:`LoopbackCluster` (real TCP
 on 127.0.0.1), and must land in the same place: every issued operation
 committed, identical final committed state, committed-prefix agreement
-across nodes in both worlds — the ISSUE's "identical to the in-process
-mesh" acceptance check in miniature.  ``test_seed_zero_scenario`` then
-runs a full simfuzz scenario projection over sockets under the
-simulator's own probes.
+across nodes in both worlds — "identical to the in-process mesh" in
+miniature.  ``TestScenarioRunner`` then runs simfuzz scenarios over
+sockets through the one runner, under the simulator's full probe set,
+and checks planted mutations are caught there too.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -18,13 +20,11 @@ from repro.core.guesstimate import Guesstimate
 from repro.errors import SimulationError
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.system import DistributedSystem
+from repro.simtest.fuzz import run_seeds
 from repro.simtest.probes import checkpoint_probe, storage_probe
-from repro.simtest.scenario import generate_scenario
-from repro.transport.loopback import (
-    LoopbackCluster,
-    run_scenario_loopback,
-    scale_scenario,
-)
+from repro.simtest.runner import run_scenario, scale_scenario
+from repro.simtest.scenario import ScenarioSpec, generate_scenario
+from repro.transport.loopback import LoopbackCluster
 from tests.helpers import Counter
 
 INCREMENTS = {0: 3, 1: 2, 2: 1}  # per-machine-index issue counts
@@ -156,6 +156,29 @@ class TestLoopbackCluster:
         assert scaled.sync_interval >= 0.05
 
     def test_seed_zero_scenario_passes_simulator_probes(self):
-        outcome = run_scenario_loopback(generate_scenario(0))
-        assert outcome.violations == []
-        assert outcome.committed_total > 0
+        result = run_scenario(generate_scenario(0), transport="loopback")
+        assert result.violations == []
+        assert result.committed_total > 0
+        assert result.trace is None  # only the simulator records a trace
+
+
+class TestScenarioRunner:
+    @pytest.mark.parametrize(
+        "mutation, seed",
+        [
+            ("commit_order", 0),
+            # Caught only by footprint_probe, a final effect probe.
+            ("footprint", 5),
+        ],
+    )
+    def test_planted_mutation_is_caught_over_sockets(self, mutation, seed, tmp_path):
+        report = run_seeds(
+            1, start=seed, transport="loopback", mutation=mutation,
+            trace_dir=str(tmp_path),
+        )
+        assert [outcome.seed for outcome in report.failures] == [seed]
+        artifact = json.loads((tmp_path / f"seed-{seed}.json").read_text())
+        assert artifact["transport"] == "loopback"
+        spec = generate_scenario(seed)
+        assert ScenarioSpec.from_dict(artifact["spec"]) == spec
+        assert ScenarioSpec.from_dict(artifact["scaled_spec"]) == scale_scenario(spec)
