@@ -24,7 +24,7 @@ paper's defining intermediate state.
 
 * ``{"event": "delta", "object", "version", "type", "state"}`` whenever
   a shared object's guesstimated state changes version — scanned at
-  every guess refresh, and within ``poll_interval`` of a local issue
+  every guess refresh, and within ``POLL_INTERVAL`` of a local issue
   (the versioned-store stamps make a scan O(objects));
 * ``{"event": "removed", "object"}`` when an object disappears;
 * ``{"event": "ticket", "ticket", "status", "commit_result"}`` when an
@@ -57,6 +57,9 @@ from repro.gateway.http import (
     ws_text_frame,
 )
 from repro.runtime.node import GuesstimateNode
+
+#: The longest a local issue waits to reach the stream, in seconds.
+POLL_INTERVAL = 0.05
 
 _STATUS_MAP = {
     "pending": "pending",
@@ -102,18 +105,10 @@ class _Subscriber:
 class GatewayServer:
     """HTTP/WebSocket facade over one node's Guesstimate API."""
 
-    def __init__(
-        self,
-        node: GuesstimateNode,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        poll_interval: float = 0.05,
-    ):
+    def __init__(self, node: GuesstimateNode, host: str = "127.0.0.1", port: int = 0):
         self.node = node
         self.host = host
         self.port = port  # updated to the bound port by start()
-        #: the longest a local issue waits to reach the stream
-        self.poll_interval = poll_interval
         self.tickets: dict[str, object] = {}
         self._ticket_counter = 0
         self.subscribers: list[_Subscriber] = []
@@ -381,8 +376,8 @@ class GatewayServer:
     def _on_guess_changed(self, refresh: bool) -> None:
         """A refresh wakes the pump now (wakes in one tick coalesce); so
         does a local issue after a quiet spell, else it arms one timer
-        for ``poll_interval`` after the last scan, which a scan cancels."""
-        due = self._last_scan + self.poll_interval - self._loop.time()
+        for ``POLL_INTERVAL`` after the last scan, which a scan cancels."""
+        due = self._last_scan + POLL_INTERVAL - self._loop.time()
         if refresh or due <= 0:
             self._wake.set()
         elif self._issue_timer is None:

@@ -1,4 +1,8 @@
-"""Runtime tuning knobs.
+"""Runtime settings and the runtime's fixed timing constants.
+
+:class:`RuntimeConfig` and :class:`SyncConfig` hold only what callers
+set to different values, plus the data directory; a value that every
+caller leaves at one setting is a module constant below.
 
 Timing defaults are calibrated so that the simulated system, *under the
 paper's sequential collection strategy*
@@ -16,6 +20,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 COLLECTION_MODES = ("sequential", "concurrent")
+
+#: CPU cost model, in *virtual* seconds: charged by the simulator's
+#: ``EventLoop`` only (``Scheduler.after_work``), where they give the
+#: flush/update windows width so the "no issuing inside a window" rule
+#: is actually exercised, and where Fig 5/6/7 are calibrated on them.
+#: A wall-clock scheduler never sleeps them: there a window is as wide
+#: as the work done inside it and closes on the next tick.
+FLUSH_CPU_BASE = 0.0005
+FLUSH_CPU_PER_OP = 0.0002
+APPLY_CPU_BASE = 0.0005
+APPLY_CPU_PER_OP = 0.0002
+UPDATE_CPU_BASE = 0.001
+UPDATE_CPU_PER_OP = 0.0002
+
+
+def flush_cpu(n_ops: int) -> float:
+    return FLUSH_CPU_BASE + FLUSH_CPU_PER_OP * n_ops
+
+
+def apply_cpu(n_ops: int) -> float:
+    return APPLY_CPU_BASE + APPLY_CPU_PER_OP * n_ops
+
+
+def update_cpu(n_pending: int) -> float:
+    return UPDATE_CPU_BASE + UPDATE_CPU_PER_OP * n_pending
 
 
 @dataclass(frozen=True)
@@ -52,7 +81,7 @@ class SyncConfig:
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """All timing parameters of the runtime, in seconds."""
+    """The runtime's settings; times are in seconds."""
 
     #: Idle gap between the end of one synchronization and the start of
     #: the next (the master "periodically initiating" syncs).
@@ -64,23 +93,6 @@ class RuntimeConfig:
     #: ``2 * stall_timeout`` — which must exceed the paper's 12 s
     #: outlier threshold.
     stall_timeout: float = 6.5
-
-    #: How long a machine waits for missing operations after BeginApply
-    #: before broadcasting a resend request.
-    missing_ops_timeout: float = 1.0
-
-    #: CPU cost model, in *virtual* seconds: charged by the simulator's
-    #: ``EventLoop`` only (``Scheduler.after_work``), where they give the
-    #: flush/update windows width so the "no issuing inside a window"
-    #: rule is actually exercised, and where Fig 5/6/7 are calibrated on
-    #: them.  A wall-clock scheduler never sleeps them: there a window
-    #: is as wide as the work done inside it and closes on the next tick.
-    flush_cpu_base: float = 0.0005
-    flush_cpu_per_op: float = 0.0002
-    apply_cpu_base: float = 0.0005
-    apply_cpu_per_op: float = 0.0002
-    update_cpu_base: float = 0.001
-    update_cpu_per_op: float = 0.0002
 
     #: Enable the structured trace log (tests use it; benchmarks turn
     #: it off for speed).
@@ -112,32 +124,11 @@ class RuntimeConfig:
     data_dir: str | None = None
 
     #: WAL fsync policy: ``always`` (fsync every commit record),
-    #: ``interval`` (every ``fsync_interval`` records and on close), or
-    #: ``never`` (OS-buffered only; the tail-scan drops whatever a crash
-    #: loses).
+    #: ``interval`` (every 8 records and on close), or ``never``
+    #: (OS-buffered only; the tail-scan drops whatever a crash loses).
     fsync_policy: str = "interval"
-
-    #: Records between fsyncs under the ``interval`` policy.
-    fsync_interval: int = 8
-
-    #: WAL segment rollover size in bytes.
-    wal_segment_bytes: int = 256_000
 
     #: Committed rounds between snapshots (0 = never snapshot).  Each
     #: snapshot compacts the WAL segments it covers, bounding recovery
     #: replay length.
     snapshot_interval: int = 0
-
-    def flush_cpu(self, n_ops: int) -> float:
-        return self.flush_cpu_base + self.flush_cpu_per_op * n_ops
-
-    def apply_cpu(self, n_ops: int) -> float:
-        return self.apply_cpu_base + self.apply_cpu_per_op * n_ops
-
-    def update_cpu(self, n_pending: int) -> float:
-        return self.update_cpu_base + self.update_cpu_per_op * n_pending
-
-    @property
-    def removal_threshold(self) -> float:
-        """Time after which a stalled machine gets removed (2 timeouts)."""
-        return 2 * self.stall_timeout

@@ -245,6 +245,22 @@ class GuesstimateNode(Host):
         self.metrics.restarts += 1
         self.trace(Tracer.RECOVERY, action="restart")
         self.synchronizer.reset()
+        self.resume_from_storage()
+        self._window = None
+        self._window_depth = 0
+        self._deferred.clear()
+        self._remote_callbacks.clear()  # subscriptions died with the app
+        self.state = GuesstimateNode.STATE_JOINING
+        self._announce()
+
+    def resume_from_storage(self) -> None:
+        """Rebuild committed state from the durable store, else start empty.
+
+        The one way a process comes back up with its own state:
+        :meth:`restart` uses it, and so does a master daemon's boot.
+        Afterwards the node holds ``snapshot + WAL replay`` (or nothing)
+        behind a fresh facade, and knows the position a Hello announces.
+        """
         # Operation numbering must survive the restart: reusing keys
         # would collide with this machine's already-committed history.
         op_counter = self.model._op_counter
@@ -277,12 +293,6 @@ class GuesstimateNode(Host):
         self.model._op_counter = max(op_counter, self.model._op_counter)
         self.api = Guesstimate(self.model, host=self)
         self.api.read_locks = self.read_locks
-        self._window = None
-        self._window_depth = 0
-        self._deferred.clear()
-        self._remote_callbacks.clear()  # subscriptions died with the app
-        self.state = GuesstimateNode.STATE_JOINING
-        self._announce()
 
     def _rebuild_from_storage(self, recovered: RecoveredState) -> MachineModel:
         """Crash recovery: snapshot states + WAL-suffix replay → model.
@@ -594,7 +604,7 @@ class GuesstimateNode(Host):
         """True when nothing is pending locally or in flight.
 
         A round the cluster still has in flight is accounted for by
-        :func:`repro.runtime.system.cluster_quiesced` against the
+        :meth:`repro.runtime.system.Cluster.quiesced` against the
         master's open round — a per-node check cannot tell a live
         round from one whose SyncComplete was lost to a fault.
         """

@@ -66,10 +66,15 @@ from repro.core.machine import PendingEntry
 from repro.core.operations import OpKey
 from repro.core.serialization import decode_op, encode_op
 from repro.runtime import messages as msg
+from repro.runtime.config import apply_cpu, flush_cpu, update_cpu
 from repro.runtime.tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.node import GuesstimateNode
+
+#: How long a machine waits for missing operations after BeginApply
+#: before broadcasting a resend request.
+MISSING_OPS_TIMEOUT = 1.0
 
 
 def consolidated_order(node: "GuesstimateNode", round_state: "RoundState") -> list[OpKey]:
@@ -262,7 +267,7 @@ class Synchronizer:
                 msg.FlushDone(round_state.round_id, node.machine_id, round_state.flush_count),
             )
 
-        node.scheduler.after_work(node.config.flush_cpu(len(entries)), end_flush)
+        node.scheduler.after_work(flush_cpu(len(entries)), end_flush)
         self._try_apply(round_state)
 
     def _broadcast_batches(
@@ -308,8 +313,7 @@ class Synchronizer:
         self._try_apply(round_state)
         if not round_state.applied and round_state.missing_timer is None:
             round_state.missing_timer = self.node.scheduler.call_later(
-                self.node.config.missing_ops_timeout,
-                lambda: self._request_missing(round_state),
+                MISSING_OPS_TIMEOUT, lambda: self._request_missing(round_state)
             )
 
     def _request_missing(self, round_state: RoundState) -> None:
@@ -328,8 +332,7 @@ class Synchronizer:
         )
         # Keep asking until the gap closes or the master removes us.
         round_state.missing_timer = self.node.scheduler.call_later(
-            self.node.config.missing_ops_timeout,
-            lambda: self._request_missing(round_state),
+            MISSING_OPS_TIMEOUT, lambda: self._request_missing(round_state)
         )
 
     def _on_resend_request(self, request: msg.ResendOpsRequest) -> None:
@@ -456,7 +459,7 @@ class Synchronizer:
             )
             self._update_guess(round_state, remote_touched)
 
-        node.scheduler.after_work(node.config.apply_cpu(len(decoded)), ack_and_update)
+        node.scheduler.after_work(apply_cpu(len(decoded)), ack_and_update)
 
     def _update_guess(
         self,
@@ -507,9 +510,7 @@ class Synchronizer:
         def end_update() -> None:
             node.exit_window("update")
 
-        node.scheduler.after_work(
-            node.config.update_cpu(len(node.model.pending)), end_update
-        )
+        node.scheduler.after_work(update_cpu(len(node.model.pending)), end_update)
 
     # -- stage 3 and recovery -------------------------------------------------------
 

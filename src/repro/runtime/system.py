@@ -20,115 +20,6 @@ from repro.runtime.tracing import Tracer
 from repro.sim.eventloop import EventLoop
 from repro.sim.rand import SeededSource
 
-# ---------------------------------------------------------------------------
-# Cluster-level correctness probes, shared by every deployment shape
-# ---------------------------------------------------------------------------
-#
-# These operate on plain node collections so the in-process simulator
-# (:class:`DistributedSystem`) and the socket-backed loopback harness
-# (:class:`repro.transport.loopback.LoopbackCluster`) are judged by the
-# byte-identical checks — the "verification twin" property the real
-# transport is tested against.
-
-
-def cluster_quiesced(master_node: GuesstimateNode, nodes) -> bool:
-    """No pending work anywhere and no operations in flight.
-
-    An empty open round does not count as work: at a short
-    ``sync_interval`` the master runs op-less control rounds back to
-    back, so a round is often open, yet every issued operation has long
-    since committed everywhere.  A round carrying operations blocks
-    quiescence whatever its stage: its collected counts are nonzero, or
-    some live node holds op payloads for it.
-    """
-    master = master_node.master
-    if master is None:  # pragma: no cover
-        return False
-    round_ = master.round
-    if round_ is not None:
-        if sum(round_.counts.values()) > 0:
-            return False
-        for node in nodes:
-            if node.state != GuesstimateNode.STATE_ACTIVE:
-                continue
-            state = node.synchronizer.rounds.get(round_.round_id)
-            if state is not None and state.received:
-                return False
-    if master.join_queue or master.awaiting_ack:
-        return False
-    if any(node.state == GuesstimateNode.STATE_JOINING for node in nodes):
-        return False
-    return all(
-        node.quiesced()
-        for node in nodes
-        if node.state == GuesstimateNode.STATE_ACTIVE
-    )
-
-
-def committed_states_equal(nodes) -> bool:
-    """Paper invariant: sc(i) = sc(j) for all active machine pairs."""
-    nodes = list(nodes)
-    if len(nodes) < 2:
-        return True
-    reference = nodes[0].model.committed
-    return all(node.model.committed.state_equal(reference) for node in nodes[1:])
-
-
-def completed_sequences_equal(nodes) -> bool:
-    """Paper invariant: C(i) = C(j), aligned by join offsets.
-
-    Machines that joined (or restarted) late only see the suffix of
-    the global sequence after their snapshot point, so sequences
-    are compared after dropping each machine's pre-join prefix.
-    """
-    nodes = list(nodes)
-    if len(nodes) < 2:
-        return True
-    global_len = max(
-        node.completed_offset + node.model.completed_count for node in nodes
-    )
-
-    def aligned(node: GuesstimateNode) -> list[tuple[str, int, bool]]:
-        entries = node.model.completed
-        return [
-            (entry.key.machine_id, entry.key.op_number, entry.result)
-            for entry in entries
-        ]
-
-    full_nodes = [node for node in nodes if node.completed_offset == 0]
-    if len(full_nodes) >= 2:
-        reference = aligned(full_nodes[0])
-        if any(aligned(node) != reference for node in full_nodes[1:]):
-            return False
-    # Late joiners: their sequence must equal the common suffix.
-    for node in nodes:
-        if node.completed_offset == 0 or not full_nodes:
-            continue
-        reference = aligned(full_nodes[0])
-        expected_len = global_len - node.completed_offset
-        suffix = reference[len(reference) - expected_len :] if expected_len else []
-        if aligned(node) != suffix:
-            return False
-    return True
-
-
-def convergence_invariant_holds(nodes) -> bool:
-    """Per-machine invariant [P](sc) = sg (valid at quiescent points)."""
-    return all(node.model.check_convergence_invariant() for node in nodes)
-
-
-def check_cluster_invariants(nodes) -> None:
-    """Assert every paper invariant over the *active* nodes given;
-    call at quiescent points only."""
-    nodes = list(nodes)
-    if not committed_states_equal(nodes):
-        raise SimulationError("invariant violated: committed states differ")
-    if not completed_sequences_equal(nodes):
-        raise SimulationError("invariant violated: completed sequences differ")
-    if not convergence_invariant_holds(nodes):
-        raise SimulationError("invariant violated: [P](sc) != sg")
-
-
 class Cluster:
     """What every deployment shape — simulated or socket-backed — offers
     workload drivers and probes over its ``nodes``.
@@ -173,8 +64,34 @@ class Cluster:
     # -- correctness probes ------------------------------------------------------------
 
     def quiesced(self) -> bool:
-        """No pending work anywhere and no operations in flight."""
-        return cluster_quiesced(self.master_node, self.nodes.values())
+        """No pending work anywhere and no operations in flight.
+
+        An empty open round does not count as work: at a short
+        ``sync_interval`` the master runs op-less control rounds back to
+        back, so a round is often open, yet every issued operation has
+        long since committed everywhere.  A round carrying operations
+        blocks quiescence whatever its stage: its collected counts are
+        nonzero, or some live node holds op payloads for it.
+        """
+        master = self.master_node.master
+        if master is None:  # pragma: no cover
+            return False
+        active = self.active_nodes()
+        round_ = master.round
+        if round_ is not None:
+            if sum(round_.counts.values()) > 0:
+                return False
+            for node in active:
+                state = node.synchronizer.rounds.get(round_.round_id)
+                if state is not None and state.received:
+                    return False
+        if master.join_queue or master.awaiting_ack:
+            return False
+        if any(
+            node.state == GuesstimateNode.STATE_JOINING for node in self.nodes.values()
+        ):
+            return False
+        return all(node.quiesced() for node in active)
 
     def active_nodes(self) -> list[GuesstimateNode]:
         return [
@@ -184,20 +101,64 @@ class Cluster:
         ]
 
     def committed_states_equal(self) -> bool:
-        """Paper invariant: sc(i) = sc(j) for all machine pairs."""
-        return committed_states_equal(self.active_nodes())
+        """Paper invariant: sc(i) = sc(j) for all active machine pairs."""
+        nodes = self.active_nodes()
+        if len(nodes) < 2:
+            return True
+        reference = nodes[0].model.committed
+        return all(node.model.committed.state_equal(reference) for node in nodes[1:])
 
     def completed_sequences_equal(self) -> bool:
-        """Paper invariant: C(i) = C(j), aligned by join offsets."""
-        return completed_sequences_equal(self.active_nodes())
+        """Paper invariant: C(i) = C(j), aligned by join offsets.
+
+        Machines that joined (or restarted) late only see the suffix of
+        the global sequence after their snapshot point, so sequences
+        are compared after dropping each machine's pre-join prefix.
+        """
+        nodes = self.active_nodes()
+        if len(nodes) < 2:
+            return True
+        global_len = max(
+            node.completed_offset + node.model.completed_count for node in nodes
+        )
+
+        def aligned(node: GuesstimateNode) -> list[tuple[str, int, bool]]:
+            entries = node.model.completed
+            return [
+                (entry.key.machine_id, entry.key.op_number, entry.result)
+                for entry in entries
+            ]
+
+        full_nodes = [node for node in nodes if node.completed_offset == 0]
+        if len(full_nodes) >= 2:
+            reference = aligned(full_nodes[0])
+            if any(aligned(node) != reference for node in full_nodes[1:]):
+                return False
+        # Late joiners: their sequence must equal the common suffix.
+        for node in nodes:
+            if node.completed_offset == 0 or not full_nodes:
+                continue
+            reference = aligned(full_nodes[0])
+            expected_len = global_len - node.completed_offset
+            suffix = reference[len(reference) - expected_len :] if expected_len else []
+            if aligned(node) != suffix:
+                return False
+        return True
 
     def convergence_invariant_holds(self) -> bool:
         """Per-machine invariant [P](sc) = sg (valid at quiescent points)."""
-        return convergence_invariant_holds(self.active_nodes())
+        return all(
+            node.model.check_convergence_invariant() for node in self.active_nodes()
+        )
 
     def check_all_invariants(self) -> None:
         """Assert every paper invariant; call at quiescent points only."""
-        check_cluster_invariants(self.active_nodes())
+        if not self.committed_states_equal():
+            raise SimulationError("invariant violated: committed states differ")
+        if not self.completed_sequences_equal():
+            raise SimulationError("invariant violated: completed sequences differ")
+        if not self.convergence_invariant_holds():
+            raise SimulationError("invariant violated: [P](sc) != sg")
 
 
 class DistributedSystem(Cluster):
@@ -210,7 +171,6 @@ class DistributedSystem(Cluster):
         latency: LatencyModel | None = None,
         faults: FaultInjector | None = None,
         config: RuntimeConfig | None = None,
-        machine_prefix: str = "m",
     ):
         if n_machines < 1:
             raise ExperimentError("need at least one machine")
@@ -220,7 +180,6 @@ class DistributedSystem(Cluster):
         self.faults = faults if faults is not None else NoFaults()
         self.metrics = SystemMetrics()
         self.tracer = Tracer(enabled=self.config.tracing)
-        self.machine_prefix = machine_prefix
         self._machine_counter = 0
 
         self.meshes = MeshPair(
@@ -238,7 +197,7 @@ class DistributedSystem(Cluster):
 
     def _next_machine_id(self) -> str:
         self._machine_counter += 1
-        return f"{self.machine_prefix}{self._machine_counter:02d}"
+        return f"m{self._machine_counter:02d}"
 
     def _build_node(self, is_master: bool, founding: bool) -> GuesstimateNode:
         machine_id = self._next_machine_id()

@@ -132,24 +132,26 @@ def build_config(spec: ScenarioSpec) -> RuntimeConfig:
     )
 
 
-def scale_scenario(
-    spec: ScenarioSpec, time_scale: float = 0.1, max_duration: float = 2.5
-) -> ScenarioSpec:
+#: What a loopback run multiplies the scenario's time-like fields by.
+TIME_SCALE = 0.1
+
+
+def scale_scenario(spec: ScenarioSpec) -> ScenarioSpec:
     """The faultless, wall-clock-budgeted projection a loopback run executes.
 
     Fault and churn plans are cleared — socket runs exercise real
     connection loss separately (see the reconnect tests); here the
     question is whether the *healthy-path* protocol behaves identically
-    over TCP.  Time-like fields shrink by ``time_scale`` (with floors
-    that keep wall-clock timers meaningful) so a 60-virtual-second
-    scenario costs ~2 wall seconds.
+    over TCP.  Time-like fields shrink by ``TIME_SCALE`` (with floors
+    that keep wall-clock timers meaningful, and the workload capped at
+    2.5 s) so a 60-virtual-second scenario costs ~2 wall seconds.
     """
     return dataclasses.replace(
         spec,
-        duration=min(max_duration, spec.duration * time_scale),
-        sync_interval=max(0.05, spec.sync_interval * time_scale),
-        stall_timeout=max(0.5, spec.stall_timeout * time_scale),
-        think_mean=max(0.04, spec.think_mean * time_scale),
+        duration=min(2.5, spec.duration * TIME_SCALE),
+        sync_interval=max(0.05, spec.sync_interval * TIME_SCALE),
+        stall_timeout=max(0.5, spec.stall_timeout * TIME_SCALE),
+        think_mean=max(0.04, spec.think_mean * TIME_SCALE),
         drops=(),
         crashes=(),
         partitions=(),

@@ -202,19 +202,11 @@ class DurableStore(StorageBackend):
         self,
         directory: str,
         fsync: str = "interval",
-        fsync_interval: int = 8,
-        segment_max_bytes: int = 256_000,
         snapshot_interval: int = 0,
     ):
         super().__init__(snapshot_interval)
         self.directory = directory
-        self.wal = WriteAheadLog(
-            directory,
-            fsync=fsync,
-            fsync_interval=fsync_interval,
-            segment_max_bytes=segment_max_bytes,
-            stats=self.stats,
-        )
+        self.wal = WriteAheadLog(directory, fsync=fsync, stats=self.stats)
         self.snapshots = SnapshotStore(directory, stats=self.stats)
 
     def append_commit(self, record: CommitRecord) -> None:
@@ -285,8 +277,6 @@ def build_storage(config, machine_id: str) -> StorageBackend:
         return DurableStore(
             os.path.join(config.data_dir, machine_id),
             fsync=config.fsync_policy,
-            fsync_interval=config.fsync_interval,
-            segment_max_bytes=config.wal_segment_bytes,
             snapshot_interval=config.snapshot_interval,
         )
     raise StorageError(

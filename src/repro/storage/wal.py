@@ -7,7 +7,7 @@ Each record is one text line::
 
 Records carry monotonically increasing 1-based indices (implicit from
 position).  A segment rolls over once it exceeds
-``segment_max_bytes``.
+:data:`SEGMENT_MAX_BYTES`.
 
 Torn writes are a fact of life for a log that is appended during a
 crash, so :meth:`WriteAheadLog.replay` treats damage in the *final*
@@ -20,7 +20,7 @@ tail means lost history and raises :class:`~repro.errors.WalCorruptionError`.
 Fsync policy:
 
 * ``always``  — fsync after every append (durable, slow);
-* ``interval`` — fsync every ``fsync_interval`` appends and on
+* ``interval`` — fsync every :data:`FSYNC_INTERVAL` appends and on
   :meth:`sync`/:meth:`close` (bounded loss window);
 * ``never``   — OS-buffered only (fastest; a power cut may lose the
   un-synced suffix, which the tail-scan then drops cleanly).
@@ -37,6 +37,10 @@ from repro.errors import StorageError, WalCorruptionError
 from repro.storage.codec import decode_line, encode_line
 
 FSYNC_POLICIES = ("always", "interval", "never")
+#: Appends between fsyncs under the ``interval`` policy.
+FSYNC_INTERVAL = 8
+#: A segment rolls over once it would grow past this many bytes.
+SEGMENT_MAX_BYTES = 256_000
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".log"
@@ -100,22 +104,14 @@ class WriteAheadLog:
         self,
         directory: str,
         fsync: str = "interval",
-        fsync_interval: int = 8,
-        segment_max_bytes: int = 256_000,
         stats: StorageStats | None = None,
     ):
         if fsync not in FSYNC_POLICIES:
             raise StorageError(
                 f"unknown fsync policy {fsync!r}; choose from {FSYNC_POLICIES}"
             )
-        if fsync_interval < 1:
-            raise StorageError("fsync_interval must be >= 1")
-        if segment_max_bytes < 1:
-            raise StorageError("segment_max_bytes must be >= 1")
         self.directory = directory
         self.fsync = fsync
-        self.fsync_interval = fsync_interval
-        self.segment_max_bytes = segment_max_bytes
         self.stats = stats if stats is not None else StorageStats()
         os.makedirs(directory, exist_ok=True)
         self._file = None  # open append handle for the active segment
@@ -264,7 +260,7 @@ class WriteAheadLog:
             return
         if self._next_index is None:
             self.open_for_append()
-        if self._active is None or self._active_bytes >= self.segment_max_bytes:
+        if self._active is None or self._active_bytes >= SEGMENT_MAX_BYTES:
             self._roll()
             return
         self._file = open(self._active.path, "ab")
@@ -288,7 +284,7 @@ class WriteAheadLog:
         self._ensure_file()
         assert self._file is not None and self._next_index is not None
         framed = _frame(encode_line(record)[:-1]) + b"\n"
-        if self._active_bytes + len(framed) > self.segment_max_bytes and self._active_bytes > 0:
+        if self._active_bytes + len(framed) > SEGMENT_MAX_BYTES and self._active_bytes > 0:
             self._roll()
         self._file.write(framed)
         self._file.flush()
@@ -300,7 +296,7 @@ class WriteAheadLog:
         self._appends_since_sync += 1
         if self.fsync == "always" or (
             self.fsync == "interval"
-            and self._appends_since_sync >= self.fsync_interval
+            and self._appends_since_sync >= FSYNC_INTERVAL
         ):
             self._fsync()
         return index

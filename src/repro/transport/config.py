@@ -283,11 +283,8 @@ class ClusterConfig:
 _RUNTIME_KEYS = {
     "sync_interval": float,
     "stall_timeout": float,
-    "missing_ops_timeout": float,
     "durability": str,
     "fsync_policy": str,
-    "fsync_interval": int,
-    "wal_segment_bytes": int,
     "snapshot_interval": int,
 }
 _SYNC_KEYS = {

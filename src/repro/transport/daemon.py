@@ -37,6 +37,25 @@ from repro.transport.netmesh import NetworkMeshPair, NodeTransport
 from repro.transport.scheduler import AsyncioScheduler
 
 
+def boot_master(node: GuesstimateNode) -> None:
+    """Found the cluster, resuming from durable state when present.
+
+    The master cannot Hello anyone (there is nobody senior to welcome
+    it), so instead of the recover-and-rejoin path it rebuilds committed
+    state directly from its store and starts rounds from there; slaves
+    then catch up through Welcome.
+
+    A *restarted* master does not get its slaves back: it runs rounds
+    alone, because slaves that are still active never send Hello
+    (ROADMAP item 3; pinned by an xfail in
+    ``tests/storage/test_crash_recovery.py``).
+    """
+    assert node.master is not None
+    node.start(founding=True)
+    node.resume_from_storage()
+    node.master.start(None)
+
+
 class NodeDaemon:
     """One node's full runtime stack on one asyncio loop."""
 
@@ -92,7 +111,7 @@ class NodeDaemon:
             is_master=self.spec.master,
         )
         if self.spec.master:
-            self._boot_master()
+            boot_master(self.node)
         else:
             # Initial state is "stopped" — exactly what the crash-
             # recovery entry point expects, whether or not a durable
@@ -110,27 +129,6 @@ class NodeDaemon:
 
         if self.ready_file is not None:
             asyncio.get_running_loop().create_task(self._write_ready_file())
-
-    def _boot_master(self) -> None:
-        """Found the cluster, resuming from durable state when present.
-
-        The master cannot Hello anyone (there is nobody senior to
-        welcome it), so instead of the recover-and-rejoin path it
-        rebuilds committed state directly from its store and starts
-        rounds from there; slaves then catch up through Welcome.
-        """
-        assert self.node is not None
-        node = self.node
-        node.start(founding=True)
-        recovered = node.storage.recover()
-        if recovered is not None:
-            node.model = node._rebuild_from_storage(recovered)
-            node.completed_offset = recovered.base_offset
-            node.api = type(node.api)(node.model, host=node)
-            node.api.read_locks = node.read_locks
-            node.metrics.crash_recoveries += 1
-        assert node.master is not None
-        node.master.start(None)
 
     async def _write_ready_file(self) -> None:
         assert self.node is not None and self.transport is not None

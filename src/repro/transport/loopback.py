@@ -41,14 +41,12 @@ class LoopbackCluster(Cluster):
         n_machines: int,
         config: RuntimeConfig | None = None,
         seed: int = 0,
-        machine_prefix: str = "m",
     ):
         if n_machines < 1:
             raise ExperimentError("need at least one machine")
         self.n_machines = n_machines
         self.config = config if config is not None else RuntimeConfig()
         self.seed = seed
-        self.machine_prefix = machine_prefix
         self.aio_loop = asyncio.new_event_loop()
         #: Scheduler facade — what workload drivers call ``system.loop``.
         self.loop = AsyncioScheduler(self.aio_loop)
@@ -79,9 +77,7 @@ class LoopbackCluster(Cluster):
         master.participants.extend(machine_ids[1:])
 
     async def _start_transports(self) -> None:
-        machine_ids = [
-            f"{self.machine_prefix}{i:02d}" for i in range(1, self.n_machines + 1)
-        ]
+        machine_ids = [f"m{i:02d}" for i in range(1, self.n_machines + 1)]
         addresses: dict[str, tuple[str, int]] = {}
         for machine_id in machine_ids:
             transport = NodeTransport(machine_id, port=0, scheduler=self.loop)

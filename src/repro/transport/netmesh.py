@@ -39,6 +39,11 @@ from repro.transport.framing import (
 )
 from repro.transport.scheduler import AsyncioScheduler
 
+#: A link's first redial wait after a failed dial or a lost connection;
+#: each further failed dial doubles it, up to ``BACKOFF_MAX``.
+BACKOFF_INITIAL = 0.05
+BACKOFF_MAX = 2.0
+
 
 @dataclass
 class TransportStats:
@@ -61,26 +66,16 @@ class PeerLink:
     The link task dials the peer, then parks on ``reader.read()`` —
     the peer never sends, so the read returning (EOF) or raising is the
     disconnect signal.  After a failed dial the next attempt waits
-    ``backoff`` seconds, doubling up to ``backoff_max``; a successful
+    ``backoff`` seconds, doubling up to ``BACKOFF_MAX``; a successful
     connect resets the backoff.  Backoff is deterministic (no jitter)
     so tests can assert the schedule.
     """
 
-    def __init__(
-        self,
-        transport: "NodeTransport",
-        peer_id: str,
-        host: str,
-        port: int,
-        backoff_initial: float = 0.05,
-        backoff_max: float = 2.0,
-    ):
+    def __init__(self, transport: "NodeTransport", peer_id: str, host: str, port: int):
         self.transport = transport
         self.peer_id = peer_id
         self.host = host
         self.port = port
-        self.backoff_initial = backoff_initial
-        self.backoff_max = backoff_max
         self.connected = False
         #: loop times of dial attempts (tests assert backoff spacing)
         self.attempt_times: list[float] = []
@@ -95,7 +90,7 @@ class PeerLink:
 
     async def _run(self) -> None:
         had_connection = False
-        backoff = self.backoff_initial
+        backoff = BACKOFF_INITIAL
         while not self._closed:
             self.attempt_times.append(self.transport.loop.time())
             try:
@@ -105,11 +100,11 @@ class PeerLink:
                     await asyncio.sleep(backoff)
                 except asyncio.CancelledError:
                     return
-                backoff = min(backoff * 2, self.backoff_max)
+                backoff = min(backoff * 2, BACKOFF_MAX)
                 continue
             self._writer = writer
             self.connected = True
-            backoff = self.backoff_initial
+            backoff = BACKOFF_INITIAL
             stats = self.transport.stats
             stats.connects += 1
             if had_connection:
@@ -125,7 +120,7 @@ class PeerLink:
             if self._closed:
                 return
             try:
-                await asyncio.sleep(self.backoff_initial)
+                await asyncio.sleep(BACKOFF_INITIAL)
             except asyncio.CancelledError:
                 return
 
@@ -164,22 +159,16 @@ class NodeTransport:
     def __init__(
         self,
         local_id: str,
+        scheduler: AsyncioScheduler,
         host: str = "127.0.0.1",
         port: int = 0,
-        scheduler: AsyncioScheduler | None = None,
-        backoff_initial: float = 0.05,
-        backoff_max: float = 2.0,
     ):
-        if scheduler is None:
-            scheduler = AsyncioScheduler(asyncio.get_event_loop())
         self.local_id = local_id
         self.host = host
         self.port = port  # updated to the bound port by start()
         self.scheduler = scheduler
         self.loop = scheduler.loop
         self.stats = TransportStats()
-        self.backoff_initial = backoff_initial
-        self.backoff_max = backoff_max
         self.peers: dict[str, tuple[str, int]] = {}
         self.links: dict[str, PeerLink] = {}
         self.channels: dict[str, "NetworkMesh"] = {}
@@ -204,14 +193,7 @@ class NodeTransport:
             if peer_id == self.local_id or peer_id in self.links:
                 continue
             self.peers[peer_id] = (host, port)
-            link = PeerLink(
-                self,
-                peer_id,
-                host,
-                port,
-                backoff_initial=self.backoff_initial,
-                backoff_max=self.backoff_max,
-            )
+            link = PeerLink(self, peer_id, host, port)
             self.links[peer_id] = link
             link.start()
 

@@ -1,7 +1,7 @@
 """When the gateway's delta stream scans, counted exactly.
 
 The pump scans when the node says ``sg`` may have changed — at every
-guess refresh (a round's update, a Welcome) and within ``poll_interval``
+guess refresh (a round's update, a Welcome) and within ``POLL_INTERVAL``
 of a local issue — instead of on a clock.  The scan tests drive a
 3-node loopback cluster on the test's own thread, with a gateway whose
 subscriber records what it is sent instead of writing to a socket; the
@@ -147,7 +147,7 @@ class TestScanCounts:
             uid = _shared_counter(cluster, "m02")
             # Issue just after a round's refresh, so the next round is a
             # second away, and after a quiet spell longer than
-            # poll_interval.
+            # POLL_INTERVAL.
             watched.reset()
             _run_until(cluster, lambda: watched.refreshes > 0)
             cluster.run_for(0.1)

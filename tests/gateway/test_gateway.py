@@ -74,7 +74,7 @@ class TestWebSocket:
             client.wait_ticket(issued["ticket"], timeout=15.0)
 
             # The guess delta (value already 1) streams within
-            # poll_interval of the issue, or at the next guess refresh
+            # POLL_INTERVAL of the issue, or at the next guess refresh
             # if that comes first; the ticket event follows at commit.
             # Read until both seen.
             ticket_events, best_delta = [], None

@@ -20,7 +20,7 @@ import pytest
 from repro.core.serialization import shared_type
 from repro.core.shared_object import GSharedObject
 from repro.errors import GatewayError
-from repro.gateway import GatewayServer
+from repro.gateway import GatewayServer, server
 from repro.gateway.client import GatewayClient
 from repro.gateway.http import ws_frame, WS_PING
 from repro.runtime.config import RuntimeConfig
@@ -243,11 +243,12 @@ class TestOpFlood:
 class TestUnrenderableObject:
     """An object whose state cannot be rendered must not end the stream."""
 
-    def test_healthy_object_keeps_streaming_and_stop_is_clean(self):
+    def test_healthy_object_keeps_streaming_and_stop_is_clean(self, monkeypatch):
+        monkeypatch.setattr(server, "POLL_INTERVAL", 0.02)
         cluster = LoopbackCluster(3, config=RuntimeConfig(sync_interval=0.1))
         cluster.boot()
         cluster.start(first_sync_delay=0.05)
-        gateway = GatewayServer(cluster.master_node, port=0, poll_interval=0.02)
+        gateway = GatewayServer(cluster.master_node, port=0)
         cluster.run_in_thread()
         loop = cluster.aio_loop
         asyncio.run_coroutine_threadsafe(gateway.start(), loop).result(10)

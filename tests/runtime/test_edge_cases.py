@@ -4,21 +4,19 @@ back-to-back faults, and background message loss."""
 import random
 
 from repro.net.faults import CrashPlan, DropPlan, ProbabilisticDrops, ScheduledFaults
+from repro.runtime import synchronizer
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.system import DistributedSystem
 from tests.helpers import Counter, quick_system, shared_counter
 
 
 class TestBackgroundLoss:
-    def test_survives_percent_level_random_loss(self):
+    def test_survives_percent_level_random_loss(self, monkeypatch):
         """A lossy network slows things down but never breaks
         agreement: every loss is healed by resend/removal recovery."""
+        monkeypatch.setattr(synchronizer, "MISSING_OPS_TIMEOUT", 0.5)
         system = quick_system(
-            3,
-            seed=13,
-            faults=ProbabilisticDrops(0.01),
-            stall_timeout=2.0,
-            missing_ops_timeout=0.5,
+            3, seed=13, faults=ProbabilisticDrops(0.01), stall_timeout=2.0
         )
         replicas, uid = shared_counter(system)
         rng = random.Random(5)
@@ -114,7 +112,7 @@ class TestStackedFaults:
         system.run_until_quiesced()
         system.check_all_invariants()
 
-    def test_ops_channel_loss_in_parallel_mode(self):
+    def test_ops_channel_loss_in_parallel_mode(self, monkeypatch):
         faults = ScheduledFaults(
             drops=[
                 DropPlan(
@@ -126,11 +124,8 @@ class TestStackedFaults:
                 )
             ]
         )
-        config = RuntimeConfig(
-            sync_interval=0.5,
-            stall_timeout=2.0,
-            missing_ops_timeout=0.4,
-        )
+        monkeypatch.setattr(synchronizer, "MISSING_OPS_TIMEOUT", 0.4)
+        config = RuntimeConfig(sync_interval=0.5, stall_timeout=2.0)
         system = DistributedSystem(n_machines=3, seed=9, faults=faults, config=config)
         system.start(first_sync_delay=0.1)
         replicas, uid = shared_counter(system)

@@ -8,6 +8,7 @@ drifted apart before, so a new one has to show up in review.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -48,18 +49,20 @@ COST_MODEL = ("flush_cpu", "apply_cpu", "update_cpu")
 
 
 def test_modelled_cpu_is_charged_through_after_work_only():
-    """``call_later(config.apply_cpu(n), …)`` sleeps the simulator's cost
-    model for real on a wall-clock scheduler; ``after_work`` lets the
+    """``call_later(apply_cpu(n), …)`` sleeps the simulator's cost model
+    for real on a wall-clock scheduler; ``after_work`` lets the
     scheduler decide.  Every mention of the model under runtime/ is an
     argument of an ``after_work`` call."""
     mentions = charged = 0
     for path in sorted(RUNTIME_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in COST_MODEL:
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in COST_MODEL:
                 mentions += 1
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                 continue
-            hits = sum(f".{name}(" in ast.unparse(node) for name in COST_MODEL)
+            source = ast.unparse(node)
+            hits = sum(bool(re.search(rf"\b{name}\(", source)) for name in COST_MODEL)
             if node.func.attr == "call_later":
                 assert hits == 0, f"{path.name}:{node.lineno} sleeps the cost model"
             elif node.func.attr == "after_work":

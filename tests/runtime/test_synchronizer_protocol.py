@@ -1,5 +1,6 @@
 """Synchronizer protocol behaviour, observed via traces and metrics."""
 
+from repro.runtime import config as runtime_config
 from repro.runtime.tracing import Tracer
 from tests.helpers import Counter, quick_system, shared_counter
 
@@ -71,12 +72,12 @@ class TestExecutionBound:
 
 
 class TestWindows:
-    def test_issue_during_flush_window_is_deferred(self):
+    def test_issue_during_flush_window_is_deferred(self, monkeypatch):
         # Schedule an issue precisely inside a flush window by issuing
         # a big batch (wide window) and firing during it.
-        system = quick_system(
-            2, flush_cpu_base=0.05, update_cpu_base=0.05
-        )
+        monkeypatch.setattr(runtime_config, "FLUSH_CPU_BASE", 0.05)
+        monkeypatch.setattr(runtime_config, "UPDATE_CPU_BASE", 0.05)
+        system = quick_system(2)
         replicas, _uid = shared_counter(system)
         api = system.api("m01")
         for _ in range(5):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SerializationError, StorageError
 from repro.runtime.config import RuntimeConfig
+from repro.storage import wal
 from repro.storage.store import (
     CommitRecord,
     DurableStore,
@@ -118,10 +119,9 @@ class TestDurableStore(BackendContract):
     def reopen(self, store, tmp_path):
         return DurableStore(str(tmp_path / "node"))
 
-    def test_snapshot_compacts_wal(self, tmp_path):
-        store = DurableStore(
-            str(tmp_path / "node"), segment_max_bytes=200, snapshot_interval=4
-        )
+    def test_snapshot_compacts_wal(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal, "SEGMENT_MAX_BYTES", 200)
+        store = DurableStore(str(tmp_path / "node"), snapshot_interval=4)
         for i in range(1, 9):
             store.append_commit(commit(i, i))
             store.maybe_snapshot(lambda: STATES, i)

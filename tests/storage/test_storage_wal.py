@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import StorageError, WalCorruptionError
 from repro.runtime import messages as msg
+from repro.storage import wal as wal_module
 from repro.storage.wal import StorageStats, WriteAheadLog
 
 
@@ -15,6 +16,12 @@ def make_records(n):
 
 def wal_files(directory):
     return sorted(name for name in os.listdir(directory) if name.startswith("wal-"))
+
+
+@pytest.fixture
+def small_segments(monkeypatch):
+    """Roll a segment every couple of records instead of every 256 KB."""
+    monkeypatch.setattr(wal_module, "SEGMENT_MAX_BYTES", 120)
 
 
 class TestAppendReplay:
@@ -52,9 +59,10 @@ class TestAppendReplay:
             WriteAheadLog(str(tmp_path)).segments()
 
 
+@pytest.mark.usefixtures("small_segments")
 class TestSegments:
     def test_rollover_by_size(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path), segment_max_bytes=120)
+        wal = WriteAheadLog(str(tmp_path))
         for r in make_records(10):
             wal.append(r)
         wal.close()
@@ -64,11 +72,11 @@ class TestSegments:
         # Segment names are the first record index, zero-padded.
         assert names[0] == "wal-0000000000000001.log"
         # Replay stitches all segments back together in order.
-        replayed = WriteAheadLog(str(tmp_path), segment_max_bytes=120).replay()
+        replayed = WriteAheadLog(str(tmp_path)).replay()
         assert [i for i, _ in replayed] == list(range(1, 11))
 
     def test_segment_gap_detected(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path), segment_max_bytes=120)
+        wal = WriteAheadLog(str(tmp_path))
         for r in make_records(10):
             wal.append(r)
         wal.close()
@@ -81,7 +89,7 @@ class TestSegments:
 
     def test_compaction_removes_covered_segments(self, tmp_path):
         stats = StorageStats()
-        wal = WriteAheadLog(str(tmp_path), segment_max_bytes=120, stats=stats)
+        wal = WriteAheadLog(str(tmp_path), stats=stats)
         for r in make_records(10):
             wal.append(r)
         before = len(wal_files(tmp_path))
@@ -96,7 +104,7 @@ class TestSegments:
         wal.close()
 
     def test_compaction_keeps_uncovered_segments(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path), segment_max_bytes=120)
+        wal = WriteAheadLog(str(tmp_path))
         for r in make_records(10):
             wal.append(r)
         assert wal.compact(through_index=0) == 0
@@ -113,11 +121,10 @@ class TestFsyncPolicies:
         assert stats.fsyncs == 4
         wal.close()
 
-    def test_interval_batches_fsyncs(self, tmp_path):
+    def test_interval_batches_fsyncs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal_module, "FSYNC_INTERVAL", 3)
         stats = StorageStats()
-        wal = WriteAheadLog(
-            str(tmp_path), fsync="interval", fsync_interval=3, stats=stats
-        )
+        wal = WriteAheadLog(str(tmp_path), fsync="interval", stats=stats)
         for r in make_records(7):
             wal.append(r)
         assert stats.fsyncs == 2  # after records 3 and 6
@@ -155,8 +162,8 @@ class TestTailCorruption:
     """The acceptance-criteria damage modes: a torn or bit-flipped final
     record must be dropped cleanly, losing only the damaged tail."""
 
-    def _write(self, tmp_path, n, **kwargs):
-        wal = WriteAheadLog(str(tmp_path), **kwargs)
+    def _write(self, tmp_path, n):
+        wal = WriteAheadLog(str(tmp_path))
         for r in make_records(n):
             wal.append(r)
         wal.close()
@@ -214,8 +221,9 @@ class TestTailCorruption:
         assert [i for i, _ in replayed] == [1, 2, 3, 4, 5]
         assert replayed[-1][1] == msg.SyncComplete(50)
 
+    @pytest.mark.usefixtures("small_segments")
     def test_mid_log_corruption_raises(self, tmp_path):
-        self._write(tmp_path, 10, segment_max_bytes=120)
+        self._write(tmp_path, 10)
         names = wal_files(tmp_path)
         assert len(names) >= 3
         middle = tmp_path / names[1]

@@ -2,9 +2,11 @@
 
 Extracts and executes the Python snippets embedded in README.md and the
 package docstring, so the first thing a new user tries is guaranteed to
-work.
+work, and checks the configuration the docs show against the code.
 """
 
+import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -52,11 +54,43 @@ class TestReadmeSnippets:
             assert hasattr(Guesstimate, method), f"README advertises api.{method}"
 
     def test_documented_config_flags_exist(self):
-        from repro.runtime.config import RuntimeConfig
+        """Every keyword a ``RuntimeConfig(...)`` / ``SyncConfig(...)``
+        call in README.md or docs/API.md passes is a field."""
+        from repro.runtime.config import RuntimeConfig, SyncConfig
 
-        readme = (REPO_ROOT / "README.md").read_text()
-        for flag in re.findall(r"RuntimeConfig\((\w+)=", readme):
-            assert hasattr(RuntimeConfig(), flag)
+        known = {
+            cls.__name__: {field.name for field in dataclasses.fields(cls)}
+            for cls in (RuntimeConfig, SyncConfig)
+        }
+        checked = 0
+        for doc in ("README.md", "docs/API.md"):
+            for block in python_blocks((REPO_ROOT / doc).read_text()):
+                for node in ast.walk(ast.parse(block)):
+                    name = getattr(getattr(node, "func", None), "id", None)
+                    if not isinstance(node, ast.Call) or name not in known:
+                        continue
+                    for keyword in node.keywords:
+                        assert keyword.arg in known[name], (
+                            f"{doc} shows {name}({keyword.arg}=...)"
+                        )
+                        checked += 1
+        assert checked >= 5  # the durability example and the API section
+
+    def test_documented_cluster_yaml_loads(self):
+        """DEPLOY.md's cluster.yaml and the shipped example both load."""
+        from repro.transport.config import (
+            cluster_from_dict,
+            expand_env,
+            parse_simple_yaml,
+        )
+
+        deploy = (REPO_ROOT / "docs" / "DEPLOY.md").read_text()
+        texts = re.findall(r"```yaml\n(.*?)```", deploy, flags=re.DOTALL)
+        assert texts, "DEPLOY.md lost its cluster.yaml block"
+        texts.append((REPO_ROOT / "examples" / "cluster" / "cluster.yaml").read_text())
+        for text in texts:
+            cluster = cluster_from_dict(parse_simple_yaml(expand_env(text, {})))
+            assert cluster.master_id
 
 
 class TestExampleScripts:

@@ -1,7 +1,7 @@
 """The CPU cost model is virtual time: charged on the simulator, never slept.
 
-``RuntimeConfig.{flush,apply,update}_cpu_*`` give the simulator's issue
-windows their width.  The same configuration on sockets must cost
+``repro.runtime.config.{FLUSH,APPLY,UPDATE}_CPU_*`` give the simulator's
+issue windows their width.  The same cost model on sockets must cost
 nothing: the work already took its wall-clock time when it ran.
 """
 
@@ -9,24 +9,27 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
+from repro.runtime import config as runtime_config
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.system import DistributedSystem
 from repro.runtime.tracing import Tracer
 from repro.transport.loopback import LoopbackCluster
 from tests.helpers import Counter, shared_counter
 
-#: Two *seconds* per phase — four before a completion can fire if slept.
-COSTLY = RuntimeConfig(
-    sync_interval=0.05,
-    tracing=True,
-    flush_cpu_base=2.0,
-    apply_cpu_base=2.0,
-    update_cpu_base=2.0,
-)
+CONFIG = RuntimeConfig(sync_interval=0.05, tracing=True)
+
+
+@pytest.fixture(autouse=True)
+def costly(monkeypatch):
+    """Two *seconds* per phase — four before a completion can fire if slept."""
+    for name in ("FLUSH_CPU_BASE", "APPLY_CPU_BASE", "UPDATE_CPU_BASE"):
+        monkeypatch.setattr(runtime_config, name, 2.0)
 
 
 def test_sockets_commit_at_once_under_a_two_second_cost_model():
-    cluster = LoopbackCluster(3, config=COSTLY)
+    cluster = LoopbackCluster(3, config=CONFIG)
     try:
         cluster.boot()
         cluster.start(first_sync_delay=0.05)
@@ -53,7 +56,7 @@ def test_sockets_commit_at_once_under_a_two_second_cost_model():
 
 
 def test_simulator_still_charges_it():
-    system = DistributedSystem(n_machines=3, seed=0, config=COSTLY)
+    system = DistributedSystem(n_machines=3, seed=0, config=CONFIG)
     system.start(first_sync_delay=0.1)
     replicas, _uid = shared_counter(system)
     system.tracer.clear()

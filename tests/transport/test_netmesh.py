@@ -15,6 +15,7 @@ import pytest
 from repro.errors import NotInMeshError
 from repro.net.faults import ProbabilisticDrops
 from repro.runtime import messages as msg
+from repro.transport import netmesh
 from repro.transport.framing import WireFrame
 from repro.transport.netmesh import NetworkMeshPair, NodeTransport
 from repro.transport.scheduler import AsyncioScheduler
@@ -36,11 +37,11 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
-async def make_pair(**kwargs):
+async def make_pair():
     """Two started transports that know each other as peers."""
     scheduler = AsyncioScheduler(asyncio.get_running_loop())
-    a = NodeTransport("a", port=0, scheduler=scheduler, **kwargs)
-    b = NodeTransport("b", port=0, scheduler=scheduler, **kwargs)
+    a = NodeTransport("a", port=0, scheduler=scheduler)
+    b = NodeTransport("b", port=0, scheduler=scheduler)
     await a.start()
     await b.start()
     a.set_peers({"b": ("127.0.0.1", b.port)})
@@ -200,13 +201,12 @@ class TestSequencing:
 
 
 class TestReconnect:
-    def test_dial_backoff_doubles_until_capped(self):
+    def test_dial_backoff_doubles_until_capped(self, monkeypatch):
+        monkeypatch.setattr(netmesh, "BACKOFF_MAX", 0.2)
+
         async def scenario():
             scheduler = AsyncioScheduler(asyncio.get_running_loop())
-            a = NodeTransport(
-                "a", port=0, scheduler=scheduler,
-                backoff_initial=0.05, backoff_max=0.2,
-            )
+            a = NodeTransport("a", port=0, scheduler=scheduler)
             await a.start()
             a.set_peers({"b": ("127.0.0.1", free_port())})
             link = a.links["b"]
@@ -225,11 +225,13 @@ class TestReconnect:
 
         asyncio.run(scenario())
 
-    def test_link_reconnects_after_peer_restart(self):
+    def test_link_reconnects_after_peer_restart(self, monkeypatch):
+        monkeypatch.setattr(netmesh, "BACKOFF_INITIAL", 0.02)
+        monkeypatch.setattr(netmesh, "BACKOFF_MAX", 0.1)
+
         async def scenario():
             scheduler = AsyncioScheduler(asyncio.get_running_loop())
-            a = NodeTransport("a", port=0, scheduler=scheduler,
-                              backoff_initial=0.02, backoff_max=0.1)
+            a = NodeTransport("a", port=0, scheduler=scheduler)
             b = NodeTransport("b", port=0, scheduler=scheduler)
             await a.start()
             await b.start()
