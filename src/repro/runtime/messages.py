@@ -13,14 +13,16 @@ Signals channel (control plane):
 * :class:`BeginApply` / :class:`ApplyAck` / :class:`ResendOpsRequest` —
   stage 2, ApplyUpdatesFromMesh.
 * :class:`SyncComplete` — stage 3, FlagCompletion.
+* :class:`WorkReady` — a machine holding operations wakes an idle
+  master (concurrent collection).
 * :class:`Hello` / :class:`Welcome` / :class:`WelcomeAck` /
   :class:`Goodbye` — membership.
 * :class:`ParticipantRemoved` / :class:`Restart` — fault recovery.
 
 A signal goes to whoever reads it: the master's announcements and
 ``ResendOpsRequest`` / ``Hello`` / ``Goodbye`` are broadcasts, while
-``FlushDone`` and ``ApplyAck`` — which only the master consumes — are
-sent to the master alone (``order[0]`` of their round).
+``FlushDone``, ``ApplyAck`` and ``WorkReady`` — which only the master
+consumes — are sent to the master alone.
 
 Operations channel (data plane):
 
@@ -92,10 +94,12 @@ class BeginApply:
 
 @dataclass(frozen=True, slots=True)
 class ApplyAck:
-    """One machine → master: I applied (and logged) every operation."""
+    """One machine → master: I applied (and logged) every operation.
+    ``pending`` says I already hold operations for the next round."""
 
     round_id: int
     machine_id: str
+    pending: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,9 +122,20 @@ class ResendOpsRequest:
 
 @dataclass(frozen=True, slots=True)
 class SyncComplete:
-    """Master → all: the round is over."""
+    """Master → all: the round is over.  ``idle`` (concurrent
+    collection only) says no next round is scheduled: a machine that
+    holds or issues operations must wake the master with
+    :class:`WorkReady`."""
 
     round_id: int
+    idle: bool = False
+
+
+@dataclass(frozen=True, slots=True)
+class WorkReady:
+    """One machine → master: I hold operations; start a round."""
+
+    machine_id: str
 
 
 # ---------------------------------------------------------------------------

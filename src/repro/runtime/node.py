@@ -75,6 +75,8 @@ class GuesstimateNode(Host):
         self.api.read_locks = self.read_locks
         self.synchronizer = Synchronizer(self)
         self.master: MasterControl | None = MasterControl(self) if is_master else None
+        if is_master:
+            self.synchronizer.master_id = machine_id
         self.storage = build_storage(config, machine_id)
         self.metrics.storage = self.storage.stats
         #: global |C| this node holds from durable recovery, announced in
@@ -123,7 +125,7 @@ class GuesstimateNode(Host):
         """Append one committed round to the durable store (pre-ack) and
         take a periodic snapshot if the configured interval elapsed."""
         if not entries:
-            return  # empty heartbeat rounds change nothing worth replaying
+            return  # empty rounds change nothing worth replaying
         self.storage.append_commit(
             CommitRecord(round_id, tuple(entries), completed_global)
         )
@@ -390,6 +392,7 @@ class GuesstimateNode(Host):
             snapshot=len(welcome.snapshot),
             backlog=len(welcome.backlog),
         )
+        self.synchronizer.welcomed(welcome.master_id)
         self._drain_deferred()
         if self.on_welcome is not None:
             self.on_welcome()
@@ -504,6 +507,7 @@ class GuesstimateNode(Host):
         self.metrics.record_execution(entry.key)
         self.trace(Tracer.ISSUE, key=str(entry.key), op=entry.op.describe())
         self.guess_changed(False)
+        self.synchronizer.work_issued()
 
     def notify_rejected(self, op) -> None:
         self.metrics.ops_rejected_at_issue += 1

@@ -47,7 +47,13 @@ the update window.
 
 Stage 3 — **FlagCompletion**.  Once every acknowledgment is in, the
 master broadcasts :class:`~repro.runtime.messages.SyncComplete` and
-schedules the next round.
+schedules the next round ``sync_interval`` later — under concurrent
+collection only while some machine holds work.  An idle concurrent
+master (no ``ApplyAck`` said ``pending``, its own node holds nothing,
+no membership work queued) broadcasts ``SyncComplete(idle=True)`` and
+arms no timer; the first machine to hold an operation wakes it with
+:class:`~repro.runtime.messages.WorkReady`, and the round starts no
+sooner than ``sync_interval`` after the last one finished.
 
 Fault recovery mirrors the paper: a stalled machine first gets its
 signal resent (:class:`~repro.runtime.messages.YourTurn` or a unicast
@@ -142,6 +148,17 @@ class Synchronizer:
         #: highest round id we have seen SyncComplete for — stale
         #: signals for rounds at or below this must not resurrect them
         self.last_done_round: int = 0
+        #: where WorkReady goes: ``order[0]`` of the newest round signal,
+        #: or the sender of our last Welcome
+        self.master_id: str | None = None
+        #: the master may be idle: the next local issue sends WorkReady
+        #: (set by ``SyncComplete(idle=True)`` and by a Welcome, after
+        #: which this node cannot know the master's state)
+        self.wake_master = False
+        #: when a round last included us or we last woke the master; the
+        #: wake watch re-sends WorkReady ``stall_timeout`` after it
+        self._wake_clock = 0.0
+        self._wake_armed = False
         #: set once this node learns it missed a committed round (the
         #: master removed it mid-round, or a SyncComplete arrived for a
         #: round it never applied).  From that moment its committed
@@ -169,6 +186,7 @@ class Synchronizer:
             return
         if isinstance(payload, (msg.StartSync, msg.YourTurn, msg.BeginApply)):
             self.last_order = payload.order
+            self.master_id = payload.order[0]
         if isinstance(payload, msg.StartSync):
             self._on_start_sync(payload)
         elif isinstance(payload, msg.YourTurn):
@@ -221,7 +239,10 @@ class Synchronizer:
         if self.node.machine_id not in start.order:
             return
         round_state = self._ensure_round(start.round_id, start.order)
-        if not start.parallel or round_state is None or round_state.flushed:
+        if round_state is None:
+            return
+        self._round_seen()
+        if not start.parallel or round_state.flushed:
             return
         # Section-9 extension: everyone flushes at once.
         self._flush(round_state)
@@ -230,6 +251,7 @@ class Synchronizer:
         round_state = self._ensure_round(turn.round_id, turn.order)
         if round_state is None or round_state.done:
             return
+        self._round_seen()
         if round_state.flushed:
             # Our FlushDone was probably lost; resend it (recovery path).
             self.node.signal_master(
@@ -303,9 +325,7 @@ class Synchronizer:
         if round_state.applied:
             # A second BeginApply for a round we applied: our ApplyAck
             # was probably lost; resend it (mirrors _on_your_turn).
-            self.node.signal_master(
-                begin.order[0], msg.ApplyAck(begin.round_id, self.node.machine_id)
-            )
+            self._ack(begin.order[0], begin.round_id)
             return
         round_state.counts = dict(begin.counts)
         for dropped in round_state.dropped:
@@ -454,12 +474,18 @@ class Synchronizer:
         def ack_and_update() -> None:
             if node.state == node.STATE_STOPPED:  # crashed before the ack fired
                 return
-            node.signal_master(
-                round_state.order[0], msg.ApplyAck(round_state.round_id, node.machine_id)
-            )
+            self._ack(round_state.order[0], round_state.round_id)
             self._update_guess(round_state, remote_touched)
 
         node.scheduler.after_work(apply_cpu(len(decoded)), ack_and_update)
+
+    def _ack(self, master_id: str, round_id: int) -> None:
+        """ApplyAck, telling the master whether we hold operations for
+        the next round."""
+        node = self.node
+        node.signal_master(
+            master_id, msg.ApplyAck(round_id, node.machine_id, bool(node.model.pending))
+        )
 
     def _update_guess(
         self,
@@ -534,6 +560,70 @@ class Synchronizer:
             self.node.trace(
                 Tracer.RECOVERY, action="missed_commit", round=done.round_id
             )
+        if done.idle:
+            self._master_idle()
+
+    # -- waking an idle master (concurrent collection) ------------------------------
+
+    def welcomed(self, master_id: str) -> None:
+        """A Welcome admitted us: we cannot know whether its master is
+        idle, so act as if it were."""
+        self.master_id = master_id
+        if self.node.config.sync.collection == "concurrent":
+            self._master_idle()
+
+    def _master_idle(self) -> None:
+        self.wake_master = True
+        if self.node.model.pending:
+            self._wake()
+
+    def work_issued(self) -> None:
+        """A local issue: wake an idle master once, and watch that a
+        round collects the operation."""
+        node = self.node
+        if (
+            node.state != node.STATE_ACTIVE
+            or node.config.sync.collection != "concurrent"
+        ):
+            return
+        if self.wake_master:
+            self._wake()
+        elif not self._wake_armed:
+            self._wake_clock = node.scheduler.now()
+            self._arm_wake_watch(node.config.stall_timeout)
+
+    def _round_seen(self) -> None:
+        """A round includes us, or we just asked for one: the master is
+        busy, and the wake watch measures from now."""
+        self.wake_master = False
+        self._wake_clock = self.node.scheduler.now()
+
+    def _wake(self) -> None:
+        node = self.node
+        self._round_seen()
+        if self.master_id is not None:
+            node.signal_master(self.master_id, msg.WorkReady(node.machine_id))
+        if not self._wake_armed:
+            self._arm_wake_watch(node.config.stall_timeout)
+
+    def _arm_wake_watch(self, delay: float) -> None:
+        self._wake_armed = True
+        self.node.scheduler.call_later(delay, self._wake_watch)
+
+    def _wake_watch(self) -> None:
+        """Re-send WorkReady after holding operations ``stall_timeout``
+        with no round including us: the WorkReady or the master's
+        ``SyncComplete(idle=True)`` was lost.  Like the master's
+        watchdog, a round never re-arms it; it sleeps out the rest."""
+        self._wake_armed = False
+        node = self.node
+        if node.state != node.STATE_ACTIVE or not node.model.pending:
+            return
+        remaining = self._wake_clock + node.config.stall_timeout - node.scheduler.now()
+        if remaining > 0:
+            self._arm_wake_watch(remaining)
+        else:
+            self._wake()
 
     def _on_participant_removed(self, removed: msg.ParticipantRemoved) -> None:
         round_state = self.rounds.get(removed.round_id)
@@ -610,7 +700,9 @@ class MasterControl:
 
     At most one round is open at a time (``round``), reproducing the
     paper's strictly phased protocol: the next-round timer is armed
-    only once the open round has finished.  A ``FlushDone`` or
+    only once the open round has finished — and, under concurrent
+    collection, only if some machine holds work; otherwise the master
+    is ``idle`` until a ``WorkReady`` arrives.  A ``FlushDone`` or
     ``ApplyAck`` that names any other round id is stale and ignored.
 
     Stalls are watched with one timer however many rounds and signals
@@ -638,6 +730,9 @@ class MasterControl:
         self._last_progress = 0.0
         self._watchdog_armed = False
         self._next_round_timer: object | None = None
+        #: no round open or scheduled: the next WorkReady schedules one
+        self.idle = False
+        self._last_finish = 0.0
         self._stopped = False
         self._halted = False  # hard stop (crash): no recovery actions either
         self.running = False  # set once start() schedules the first round
@@ -649,6 +744,7 @@ class MasterControl:
         if self._stopped:
             return
         self.running = True
+        self.idle = False
         interval = self.node.config.sync_interval if delay is None else delay
         if self._next_round_timer is not None:
             self._next_round_timer.cancel()  # type: ignore[attr-defined]
@@ -730,6 +826,8 @@ class MasterControl:
             self._on_flush_done(payload)
         elif isinstance(payload, msg.ApplyAck):
             self._on_apply_ack(payload)
+        elif isinstance(payload, msg.WorkReady):
+            self._on_work_ready(payload)
         elif isinstance(payload, msg.Hello):
             self._on_hello(payload)
         elif isinstance(payload, msg.WelcomeAck):
@@ -766,29 +864,51 @@ class MasterControl:
         if ack.machine_id in round_.removed:
             return
         round_.acks.add(ack.machine_id)
+        round_.pending |= ack.pending
         self._progress()
         self._maybe_finish()
+
+    def _on_work_ready(self, ready: msg.WorkReady) -> None:
+        """Wake an idle master: the next round starts at ``max(now,
+        last finish + sync_interval)``.  A busy master's open or
+        scheduled round collects the work anyway."""
+        if not self.idle:
+            return
+        now = self.node.scheduler.now()
+        self.start(max(now, self._last_finish + self.node.config.sync_interval) - now)
+
+    def _busy(self, round_: "_MasterRound") -> bool:
+        """Whether the next round has work: always under the paper's
+        sequential collection, which keeps its fixed period."""
+        return (
+            not round_.parallel
+            or round_.pending
+            or bool(self.node.model.pending)
+            or bool(self.join_queue or self.awaiting_ack or self.awaiting_restart)
+        )
 
     def _maybe_finish(self) -> None:
         """Finish the open round once every participant acked it."""
         round_ = self.round
         if round_ is None or round_.stage != "apply" or round_.awaited():
             return
-        round_.record.finished_at = self.node.scheduler.now()
+        self._last_finish = self.node.scheduler.now()
+        round_.record.finished_at = self._last_finish
         self.node.metrics_system.sync_records.append(round_.record)
         self.node.trace(
             Tracer.SYNC_DONE,
             round=round_.round_id,
             duration=round(round_.record.duration, 4),
         )
-        self.node.broadcast_signal(msg.SyncComplete(round_.round_id))
+        self.idle = not self._busy(round_)
+        self.node.broadcast_signal(msg.SyncComplete(round_.round_id, self.idle))
         self.round = None
         self._nudge_restarts()
         if self.awaiting_ack or self.join_queue:
             # Re-welcome unacked joiners and serve the Hellos that
             # arrived while the round was in flight.
             self._process_membership()
-        if self.running:
+        if self.running and not self.idle:
             self.start()
 
     # -- membership ---------------------------------------------------------------------
@@ -813,9 +933,14 @@ class MasterControl:
             self._remove_machine(hello.machine_id, restart=False)
         if hello.machine_id not in self.join_queue:
             self.join_queue.append(hello.machine_id)
-        # A join between rounds can be processed immediately.
+        # A join between rounds can be processed immediately.  An idle
+        # master also schedules a round a full ``sync_interval`` out
+        # (time for the WelcomeAck to land first): membership work
+        # keeps it busy until the joiner is admitted.
         if self.round is None:
             self._process_membership()
+            if self.idle:
+                self.start()
 
     def _on_welcome_ack(self, ack: msg.WelcomeAck) -> None:
         if ack.machine_id not in self.awaiting_ack:
@@ -1059,6 +1184,8 @@ class _MasterRound:
     acks: set[str] = field(default_factory=set)
     removed: set[str] = field(default_factory=set)
     strikes: dict[str, int] = field(default_factory=dict)
+    #: some ApplyAck said its machine holds operations for the next round
+    pending: bool = False
 
     def awaited(self) -> list[str]:
         """Machines the current stage waits on, in stall-handling order:

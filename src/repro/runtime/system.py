@@ -67,11 +67,12 @@ class Cluster:
         """No pending work anywhere and no operations in flight.
 
         An empty open round does not count as work: at a short
-        ``sync_interval`` the master runs op-less control rounds back to
-        back, so a round is often open, yet every issued operation has
-        long since committed everywhere.  A round carrying operations
-        blocks quiescence whatever its stage: its collected counts are
-        nonzero, or some live node holds op payloads for it.
+        ``sync_interval`` a sequential master runs op-less control
+        rounds back to back (a concurrent one does while membership work
+        keeps it busy), so a round is often open, yet every issued
+        operation has long since committed everywhere.  A round carrying
+        operations blocks quiescence whatever its stage: its collected
+        counts are nonzero, or some live node holds op payloads for it.
         """
         master = self.master_node.master
         if master is None:  # pragma: no cover

@@ -21,6 +21,10 @@ Two families:
   Agreement holds perfectly — only the workload-zoo convergence probes
   (independent oracle, conservation laws) can see them, which is
   exactly what their planted-mutation tests demonstrate.
+* **cadence mutation** (``no_wake``) makes an idle concurrent master
+  ignore every :class:`~repro.runtime.messages.WorkReady`, so the
+  first operation issued on a quiet cluster never commits; the run
+  fails to quiesce.
 * **effect mutations** (``footprint``, ``commute``) plant the two
   hazards the glint effect engine reasons about: a write outside the
   inferred footprint of an operation (invisible to contracts,
@@ -186,6 +190,16 @@ def _commute(pristine):
     return mutant
 
 
+def _no_wake(pristine):
+    """The master ignores every WorkReady: once a concurrent round
+    finishes idle, no later issue starts another one."""
+
+    def mutant(self, ready):
+        return None
+
+    return mutant
+
+
 #: name -> (holder, attribute, mutant factory)
 MUTATIONS = {
     "commit_order": (sync_mod, "consolidated_order", _commit_order),
@@ -195,6 +209,7 @@ MUTATIONS = {
     "atomic_partial": (AtomicOp, "execute", _atomic_partial),
     "footprint": (PresenceCounters, "check_out", _footprint),
     "commute": (PresenceCounters, "tally", _commute),
+    "no_wake": (sync_mod.MasterControl, "_on_work_ready", _no_wake),
 }
 
 

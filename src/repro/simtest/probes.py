@@ -240,14 +240,20 @@ def guess_divergence_probe(system: "DistributedSystem") -> list[str]:
         node.machine_id: node.completed_offset + node.model.completed_count
         for node in nodes
     }
+    # Object ids each global commit position touched, from every node
+    # that holds the entry: a node welcomed by snapshot holds none for
+    # the commits its snapshot covers, though its state reflects them.
+    touched: dict[int, set[str]] = {}
+    for node in nodes:
+        for index, entry in enumerate(node.model.completed):
+            touched.setdefault(node.completed_offset + index, entry.op.object_ids())
     violations = []
     for left, right in itertools.combinations(nodes, 2):
         allowed = unsettled[left.machine_id] | unsettled[right.machine_id]
         common = min(position[left.machine_id], position[right.machine_id])
-        for node in (left, right):
-            for index, entry in enumerate(node.model.completed):
-                if node.completed_offset + index >= common:
-                    allowed |= entry.op.object_ids()
+        ahead = max(position[left.machine_id], position[right.machine_id])
+        for index in range(common, ahead):
+            allowed |= touched.get(index, set())
         left_snap = snapshots[left.machine_id]
         right_snap = snapshots[right.machine_id]
         for uid in sorted(set(left_snap) | set(right_snap)):

@@ -41,6 +41,8 @@ DROPPABLE_PAYLOADS = (
     "Hello",
     "Welcome",
     "ApplyAck",  # appended: a seed that does not draw it keeps its scenario
+    "StartSync",  # appended, likewise
+    "WorkReady",  # appended, likewise
 )
 
 #: All scenario workloads: the paper's two measurement workloads plus

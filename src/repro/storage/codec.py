@@ -176,6 +176,7 @@ register_wire_type(
 register_wire_type(msg.ApplyAck)
 register_wire_type(msg.ResendOpsRequest, have=_tuple_of_pairs)
 register_wire_type(msg.SyncComplete)
+register_wire_type(msg.WorkReady)
 register_wire_type(msg.Hello, recovered_tail=_optional_pair)
 register_wire_type(msg.Welcome, snapshot=_snapshot_dict, backlog=_tuple_of_pairs)
 register_wire_type(msg.WelcomeAck)

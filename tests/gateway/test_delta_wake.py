@@ -132,9 +132,11 @@ class TestScanCounts:
             uid = _shared_counter(cluster, "m02")
             _run_until(cluster, lambda: watched.recorder.deltas(uid))
             watched.reset()
-            cluster.run_for(0.5)  # empty rounds only
-            assert watched.refreshes >= 5
-            assert len(watched.scans) == watched.refreshes
+            rounds = len(cluster.metrics.sync_records)
+            cluster.run_for(0.5)  # an idle master runs no round
+            assert len(cluster.metrics.sync_records) == rounds
+            assert watched.refreshes == 0
+            assert watched.scans == []
             assert watched.recorder.events == []
             watched.stop()
         finally:
@@ -145,11 +147,9 @@ class TestScanCounts:
         try:
             watched = _Watched(cluster, "m02")
             uid = _shared_counter(cluster, "m02")
-            # Issue just after a round's refresh, so the next round is a
-            # second away, and after a quiet spell longer than
-            # POLL_INTERVAL.
-            watched.reset()
-            _run_until(cluster, lambda: watched.refreshes > 0)
+            # Issue just after the creating round finished, so the round
+            # this issue wakes is a sync_interval away, and after a
+            # quiet spell longer than POLL_INTERVAL.
             cluster.run_for(0.1)
             watched.reset()
             issued_at = time.monotonic()

@@ -177,3 +177,17 @@ def shared_counter(system: DistributedSystem, limit_unused: int = 0):
         for index, api in enumerate(apis)
     }
     return replicas, counter.unique_id
+
+
+def work_at(system: DistributedSystem, delay: float) -> None:
+    """Have the master issue one operation ``delay`` seconds from now.
+
+    An idle concurrent cluster runs no round, and only a round notices
+    a lost signal or a crashed or cut-off slave: a fault test puts work
+    inside its fault window with this.
+    """
+
+    def issue() -> None:
+        system.master_node.api.create_instance(Counter)
+
+    system.loop.call_later(delay, issue)

@@ -67,14 +67,17 @@ MESSAGE_STRATEGIES = {
         messages.FlushDone, round_ids, machine_ids, st.integers(0, 1000)
     ),
     "BeginApply": st.builds(messages.BeginApply, round_ids, orders, counts),
-    "ApplyAck": st.builds(messages.ApplyAck, round_ids, machine_ids),
+    "ApplyAck": st.builds(
+        messages.ApplyAck, round_ids, machine_ids, st.booleans()
+    ),
     "ResendOpsRequest": st.builds(
         messages.ResendOpsRequest,
         round_ids,
         machine_ids,
         st.lists(st.tuples(machine_ids, op_numbers), max_size=5).map(tuple),
     ),
-    "SyncComplete": st.builds(messages.SyncComplete, round_ids),
+    "SyncComplete": st.builds(messages.SyncComplete, round_ids, st.booleans()),
+    "WorkReady": st.builds(messages.WorkReady, machine_ids),
     "Hello": st.builds(
         messages.Hello, machine_ids, st.one_of(st.none(), st.integers(0, 10**6))
     ),

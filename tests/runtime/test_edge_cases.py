@@ -7,7 +7,7 @@ from repro.net.faults import CrashPlan, DropPlan, ProbabilisticDrops, ScheduledF
 from repro.runtime import synchronizer
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.system import DistributedSystem
-from tests.helpers import Counter, quick_system, shared_counter
+from tests.helpers import Counter, quick_system, shared_counter, work_at
 
 
 class TestBackgroundLoss:
@@ -89,6 +89,8 @@ class TestStackedFaults:
             crashes=[CrashPlan("m02", start=8.0, end=16.0)],
         )
         system = quick_system(3, seed=2, faults=faults, stall_timeout=2.0)
+        work_at(system, 2.0)  # a round inside the drop window
+        work_at(system, 9.0)  # a round notices the crash
         system.run_for(40.0)
         metrics = system.metrics.node("m02")
         assert metrics.restarts == 1
@@ -104,7 +106,7 @@ class TestStackedFaults:
             ]
         )
         system = quick_system(4, seed=3, faults=faults, stall_timeout=2.0)
-        replicas, uid = shared_counter(system) if False else (None, None)
+        work_at(system, 2.0)  # a round notices the crashes
         system.run_for(40.0)
         assert system.metrics.node("m02").restarts == 1
         assert system.metrics.node("m03").restarts == 1
@@ -152,9 +154,11 @@ class TestDegenerateSystems:
         assert node.model.guess.state_equal(node.model.committed)
 
     def test_no_ops_for_a_long_time(self):
+        # An idle concurrent cluster runs its boot round and then none.
         system = quick_system(3)
         system.run_for(60.0)
-        assert len(system.metrics.sync_records) > 50
+        assert len(system.metrics.sync_records) == 1
+        assert system.master_node.master.idle
         system.check_all_invariants()
 
     def test_burst_of_many_ops_in_one_round(self):

@@ -7,7 +7,7 @@ from repro.errors import NodeCrashedError
 from repro.net.faults import CrashPlan, DropPlan, ScheduledFaults
 from repro.runtime.config import RuntimeConfig, SyncConfig
 from repro.runtime.system import DistributedSystem
-from tests.helpers import Counter, quick_system, shared_counter
+from tests.helpers import Counter, quick_system, shared_counter, work_at
 
 
 class TestParallelFlush:
@@ -39,6 +39,10 @@ class TestParallelFlush:
 
         def mean_sync(n, parallel):
             system = self.make(n, parallel)
+            # An idle concurrent cluster runs only its boot round: give
+            # both strategies one operation a second to synchronize.
+            for second in range(1, 10):
+                work_at(system, float(second))
             system.run_for(10.0)
             durations = system.metrics.sync_durations()
             return sum(durations) / len(durations)
@@ -53,6 +57,7 @@ class TestParallelFlush:
         config = RuntimeConfig(sync_interval=0.5, stall_timeout=2.0)
         system = DistributedSystem(n_machines=3, seed=4, faults=faults, config=config)
         system.start(first_sync_delay=0.1)
+        work_at(system, 2.0)  # a round notices the crash
         system.run_for(30.0)
         assert system.metrics.node("m03").restarts == 1
         assert all(node.state == "active" for node in system.nodes.values())

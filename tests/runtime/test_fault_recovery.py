@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.faults import CrashPlan, DropPlan, ScheduledFaults
 from repro.runtime.config import SyncConfig
-from tests.helpers import Counter, quick_system, shared_counter
+from tests.helpers import Counter, quick_system, shared_counter, work_at
 
 
 def faulty_system(drops=(), crashes=(), n=3, stall_timeout=2.0, **kwargs):
@@ -51,6 +51,7 @@ class TestLostSignalRecovery:
                 )
             ]
         )
+        work_at(system, 2.0)  # a round inside the drop window
         system.run_for(15.0)
         recovered = [r for r in system.metrics.sync_records if r.recovered]
         assert len(recovered) == 1
@@ -77,6 +78,7 @@ class TestLostSignalRecovery:
             ],
             sync=SyncConfig(collection=collection),
         )
+        work_at(system, 2.0)  # a round inside the drop window
         system.run_for(20.0)
         records = system.metrics.sync_records
         recovered = [r for r in records if r.recovered]
@@ -124,6 +126,7 @@ class TestCrashRecovery:
         system, _faults = faulty_system(
             crashes=[CrashPlan("m03", start=1.0, end=10.0)]
         )
+        work_at(system, 2.0)  # a round notices the crash
         system.run_for(30.0)
         removed_rounds = [r for r in system.metrics.sync_records if r.removals]
         assert len(removed_rounds) == 1
@@ -181,6 +184,9 @@ class TestCrashRecovery:
                 api3.create_operation(replicas["m03"], "increment", 100)
             ),
         )
+        # A round notices the crash (m03's own WorkReady cannot reach
+        # the master until the crash ends).
+        work_at(system, 1.5)
         system.run_for(40.0)
         system.run_until_quiesced()
         assert system.node("m01").model.committed.get(uid).value == 0
@@ -194,6 +200,7 @@ class TestCrashRecovery:
         replicas, uid = shared_counter(system)
         api3 = system.api("m03")
         api3.issue_operation(api3.create_operation(replicas["m03"], "increment", 99))
+        work_at(system, 2.0)  # a round notices the crash
         system.run_for(30.0)  # crash + removal + restart + rejoin
         system.run_until_quiesced()
         assert system.metrics.node("m03").restarts == 1
@@ -219,6 +226,8 @@ class TestCrashRecovery:
                 CrashPlan("m03", start=20.0, end=28.0),
             ]
         )
+        work_at(system, 2.0)  # a round notices each crash
+        work_at(system, 21.0)
         system.run_for(60.0)
         assert system.metrics.node("m02").restarts == 1
         assert system.metrics.node("m03").restarts == 1

@@ -7,7 +7,7 @@ from collections import Counter as Tally
 
 from repro.apps.presence import PresenceCounters
 from repro.net.faults import PartitionPlan, ScheduledFaults
-from tests.helpers import Counter, quick_system, shared_counter
+from tests.helpers import Counter, quick_system, shared_counter, work_at
 
 
 def partitioned_system(groups, start, end, n=5, stall_timeout=2.0, seed=4):
@@ -90,6 +90,9 @@ class TestPartitionedRuntime:
                 api3.create_operation(replicas["m03"], "increment", 100)
             ),
         )
+        # A majority round notices the cut (m03's own WorkReady cannot
+        # cross it).
+        work_at(system, 6.0)
         system.run_for(60.0)
         system.run_until_quiesced()
         assert system.node("m01").model.committed.get(uid).value == 0

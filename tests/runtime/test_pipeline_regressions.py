@@ -17,6 +17,7 @@ pin the node- and master-side behaviours that fix them:
 from repro.core.machine import CompletedEntry, MachineModel
 from repro.core.operations import OpKey
 from repro.runtime import messages as msg
+from repro.runtime.config import SyncConfig
 from repro.runtime.metrics import SyncRecord
 from repro.runtime.synchronizer import _MasterRound
 from tests.helpers import quick_system, shared_counter
@@ -26,8 +27,12 @@ ORDER = ("m01", "m02", "m03")
 
 class TestQuiescence:
     def test_quiesced_with_back_to_back_empty_rounds(self):
-        """Back-to-back op-less control rounds must not block quiescence."""
-        system = quick_system(3, sync_interval=0.05)
+        """Back-to-back op-less control rounds must not block quiescence.
+        Sequential collection keeps its period on an idle cluster, so it
+        still runs them (a concurrent master goes idle instead)."""
+        system = quick_system(
+            3, sync_interval=0.05, sync=SyncConfig(collection="sequential")
+        )
         replicas, _uid = shared_counter(system)
         ticket = system.api("m02").invoke(replicas["m02"], "increment", 10)
         quiesced_at = system.run_until_quiesced(max_time=60.0)

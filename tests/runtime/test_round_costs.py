@@ -25,17 +25,19 @@ SYNC_INTERVAL = 0.5
 
 def _finish_round(system) -> None:
     """Run until one more round has finished and its ``SyncComplete`` has
-    landed everywhere; the next round's timer (a whole ``SYNC_INTERVAL``
-    after the finish) has not fired yet, so the cluster is idle."""
+    landed everywhere; a next round starts no sooner than a whole
+    ``SYNC_INTERVAL`` after the finish, so the cluster is between
+    rounds."""
     records = system.metrics.sync_records
     finished = len(records)
     while len(records) == finished:
+        assert system.loop.peek_time() is not None, "no round is coming"
         system.loop.step()
     system.run_for(SYNC_INTERVAL / 2)
 
 
 def _one_round(system) -> tuple[dict[str, int], int, int]:
-    """Run exactly one round from an idle cluster.
+    """Run exactly one round from a cluster between rounds.
 
     Returns ``(signal sends by type, signal deliveries, op-frame
     deliveries)`` for that round alone.
@@ -74,29 +76,47 @@ def test_messages_per_round(n, signals_per_round):
     """A fault-free concurrent round among N founding nodes delivers
     5(N-1) signals — three master broadcasts and two acknowledgements
     sent to the master alone — plus one op frame per flushing node per
-    peer."""
+    peer.  An idle cluster runs no round and sends nothing; each slave
+    that wakes it adds one ``WorkReady``."""
     system = quick_system(n=n, sync_interval=SYNC_INTERVAL)
     assert system.config.sync.collection == "concurrent"
     acknowledged = _watch_acknowledgements(system)
     replicas, _uid = shared_counter(system)
-    _finish_round(system)
+    system.run_for(SYNC_INTERVAL)
+    master = system.master_node
 
     signal_shape = dict.fromkeys(ROUND_SIGNALS, n - 1)
     assert sum(signal_shape.values()) == signals_per_round == 5 * (n - 1)
 
-    # Idle: the signals alone, and no op frame at all.
-    assert _one_round(system) == (signal_shape, signals_per_round, 0)
+    # Idle: no round, no signal, no op frame.
+    rounds = len(system.metrics.sync_records)
+    sent = dict(system.meshes.signals.stats.payload_counts)
+    system.run_for(10 * SYNC_INTERVAL)
+    assert len(system.metrics.sync_records) == rounds
+    assert system.meshes.signals.stats.payload_counts == sent
+    assert master.master.idle
+
+    # The master's own issue wakes it without a frame: the signals
+    # alone, plus its one OpBatch to each peer.
+    system.api(master.machine_id).invoke(
+        replicas[master.machine_id], "increment", 10**9
+    )
+    assert _one_round(system) == (signal_shape, signals_per_round, n - 1)
 
     # Every node flushes k <= batch_max_ops operations: the same
     # signals, plus one OpBatch from each node to each of its peers.
+    # Each slave's first issue sent one WorkReady (the master's issue
+    # woke it first); they are delivered inside the round.
+    sent = system.meshes.signals.stats.payload_counts
+    woken = sent.get("WorkReady", 0)
     for machine_id, replica in replicas.items():
         for _ in range(3):
             system.api(machine_id).invoke(replica, "increment", 10**9)
-    assert _one_round(system) == (signal_shape, signals_per_round, n * (n - 1))
+    assert sent["WorkReady"] - woken == n - 1
+    assert _one_round(system) == (signal_shape, 6 * (n - 1), n * (n - 1))
     assert system.quiesced()
     assert system.metrics.sync_records[-1].ops_committed == 3 * n
-
-    assert _one_round(system) == (signal_shape, signals_per_round, 0)
+    assert master.master.idle
     # Only the master reads the acknowledgements, so only it gets them.
     assert acknowledged == {system.master_node.machine_id}
     system.check_all_invariants()
@@ -118,20 +138,18 @@ def test_messages_per_sequential_round(n):
 
 
 def test_frames_per_round_over_sockets():
-    """The same count where a signal is a frame on a TCP link: ten per
-    idle round at N = 3."""
+    """The same count where a signal is a frame on a TCP link: ten for
+    the empty boot round at N = 3, and none after it while idle."""
     cluster = LoopbackCluster(3, config=RuntimeConfig(sync_interval=0.02))
     try:
         cluster.boot()
         cluster.start(first_sync_delay=0.05)  # after the links are up
         cluster.run_for(0.35)
-        cluster.stop()
-        cluster.run_for(0.2)  # the open round drains; nothing new starts
         assert cluster.master_node.master.round is None
-        rounds = len(cluster.metrics.sync_records)
-        assert rounds >= 3
+        assert cluster.master_node.master.idle
+        assert len(cluster.metrics.sync_records) == 1
         frames = sum(t.stats.frames_sent for t in cluster.transports.values())
-        assert frames == 10 * rounds
+        assert frames == 10
         assert cluster.loop.errors == []
     finally:
         cluster.shutdown()
@@ -139,12 +157,19 @@ def test_frames_per_round_over_sockets():
 
 def test_master_keeps_one_watchdog_timer():
     """Progress only records when it happened; the number of pending
-    timers does not grow with the rounds run inside ``stall_timeout``."""
-    system = quick_system(n=9, sync_interval=SYNC_INTERVAL, stall_timeout=1000.0)
+    timers does not grow with the rounds run inside ``stall_timeout``.
+    Sequential collection keeps running empty rounds on an idle
+    cluster (a concurrent one runs none)."""
+    system = quick_system(
+        n=9,
+        sync_interval=SYNC_INTERVAL,
+        stall_timeout=1000.0,
+        sync=SyncConfig(collection="sequential"),
+    )
     system.run_for(5.0)
     early = system.loop.pending_count
     system.run_for(10.0)
-    assert len(system.metrics.sync_records) >= 25
+    assert len(system.metrics.sync_records) >= 15
     assert system.loop.pending_count == early <= 2  # next round + watchdog
 
 

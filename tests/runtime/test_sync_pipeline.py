@@ -163,10 +163,12 @@ class TestOpBatching:
     @BOTH_MODES
     def test_empty_flush_sends_no_batches(self, mode):
         system = mode_system(mode)
-        system.run_for(3.0)  # several idle rounds
+        system.run_for(3.0)  # idle: sequential rounds stay periodic
         payloads = system.meshes.operations.stats.payload_counts
         assert payloads.get("OpBatch", 0) == 0
-        assert len(system.metrics.sync_records) >= 2
+        rounds = len(system.metrics.sync_records)
+        # A concurrent master runs its boot round and then waits for work.
+        assert rounds == 1 if mode == "concurrent" else rounds >= 2
 
 
 class TestBackToBackRounds:

@@ -7,7 +7,14 @@ from tests.helpers import Counter, quick_system, shared_counter
 
 class TestRoundStructure:
     def test_rounds_happen_periodically(self):
-        system = quick_system(3, sync_interval=0.5)
+        # The paper's sequential collection keeps a fixed period; an
+        # idle concurrent cluster runs none after its boot round
+        # (tests/runtime/test_work_gated_cadence.py).
+        system = quick_system(
+            3,
+            sync_interval=0.5,
+            sync=runtime_config.SyncConfig(collection="sequential"),
+        )
         system.run_for(5.0)
         # Roughly one round per (interval + round time).
         assert 6 <= len(system.metrics.sync_records) <= 10

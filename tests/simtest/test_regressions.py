@@ -37,13 +37,27 @@ Bug 3 — **replay depends on ``PYTHONHASHSEED``** (mixed seeds 14, 16,
     net stream, so with two machines awaiting restart the string hash
     order decided which ``Restart`` landed first and the trace digest
     differed from one process to the next.  Fixed by sorting the set.
+
+Bug 4 — **the guess-divergence probe cannot see snapshot-covered
+    commits** (listdoc seed 32, once an idle concurrent master stopped
+    running empty rounds).
+    A slave cut off and removed stays at its old position until its
+    Restart lands; a joiner welcomed meanwhile by a full snapshot holds
+    no entries for the commits that snapshot covers.  The probe
+    explained a guess difference only by the *pair's* entries past their
+    common position, so the gap between the two was explained by
+    nobody and a stale-but-correct node read as drift.  Fixed in the
+    probe: the commits past the common position are read from any node
+    that holds them.
 """
 
 import os
 import subprocess
 import sys
 
+from repro.net.faults import CrashPlan, ScheduledFaults
 from repro.runtime import messages as msg
+from repro.simtest.probes import guess_divergence_probe
 from repro.simtest.runner import run_scenario
 from repro.simtest.scenario import generate_scenario
 from repro.storage.codec import decode_line, encode_line
@@ -194,6 +208,37 @@ class TestOriginalFailingSeeds:
         result = run_scenario(spec, record_trace=False)
         assert result.violations == []
         assert result.actions > 0
+
+
+class TestSnapshotCoveredCommits:
+    """Bug 4: a stale node against a joiner welcomed past it."""
+
+    def test_probe_reads_the_gap_from_a_node_that_holds_it(self):
+        faults = ScheduledFaults(crashes=[CrashPlan("m02", start=1.0, end=60.0)])
+        system = quick_system(2, faults=faults, stall_timeout=1.0)
+        _replicas, uid = shared_counter(system)
+        system.run_for(1.0)
+        system.api("m01").invoke(uid, "increment", 10)
+        system.run_until_quiesced()  # m02 is removed; the round commits
+        joiner = system.add_machine()
+        system.run_until_quiesced()
+        stale = system.node("m02")
+        assert stale.state == "active" and joiner.completed_offset > (
+            stale.completed_offset + stale.model.completed_count
+        )
+        assert guess_divergence_probe(system) == []
+        # A real drift on the joiner is still caught (against m01).
+        joiner.model.guess.get(uid).value = 99
+        joiner.model.guess.mark_dirty((uid,))
+        assert any(
+            "m01 and " + joiner.machine_id in violation
+            for violation in guess_divergence_probe(system)
+        )
+
+    def test_listdoc_seed_32_converges(self):
+        spec = generate_scenario(32, workload="listdoc")
+        result = run_scenario(spec, record_trace=False)
+        assert result.violations == []
 
 
 class TestReplayAcrossHashSeeds:

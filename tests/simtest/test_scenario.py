@@ -66,13 +66,14 @@ class TestGeneration:
             assert spec.workload in WORKLOADS
 
     def test_retiring_the_lever_draws_moved_no_other_field(self, monkeypatch):
-        # One deliberate change to the draws since the capture: PR 23
-        # appended "ApplyAck" to the droppable payloads.  Left out here,
+        # The deliberate changes to the draws since the capture: the
+        # payloads appended to the droppable ones.  Left out here,
         # every field must still hash to the captured value.
+        appended = ("ApplyAck", "StartSync", "WorkReady")
         monkeypatch.setattr(
             scenario,
             "DROPPABLE_PAYLOADS",
-            tuple(p for p in scenario.DROPPABLE_PAYLOADS if p != "ApplyAck"),
+            tuple(p for p in scenario.DROPPABLE_PAYLOADS if p not in appended),
         )
         assert "pipeline_depth" not in generate_scenario(0).to_dict()
         for seed, expected in enumerate(PRE_RETIREMENT_SPEC_FINGERPRINTS):
@@ -87,6 +88,9 @@ class TestGeneration:
             for drop in generate_scenario(seed).drops
         }
         assert {"FlushDone", "ApplyAck", "YourTurn", "BeginApply"} <= dropped
+        # ...and the two that start a round: the collect signal and the
+        # wake of an idle concurrent master.
+        assert {"StartSync", "WorkReady"} <= dropped
 
     def test_sweep_spreads_over_both_collection_strategies(self):
         specs = [generate_scenario(seed) for seed in range(100)]

@@ -81,7 +81,7 @@ class TestRegistry:
         registered = set(registered_wire_types())
         for name in (
             "StartSync", "YourTurn", "FlushDone", "BeginApply", "ApplyAck",
-            "ResendOpsRequest", "SyncComplete", "Hello", "Welcome",
+            "ResendOpsRequest", "SyncComplete", "WorkReady", "Hello", "Welcome",
             "WelcomeAck", "Goodbye", "ParticipantRemoved", "Restart",
             "OpBatch", "CommitRecord",
         ):
