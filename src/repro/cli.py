@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
         "--data-dir",
         default=None,
         help="run the durability experiment against real files under "
-        "this directory (default: the zero-IO in-memory backend)",
+        "this directory (default: the zero-IO in-memory medium)",
     )
     parser.add_argument(
         "--fsync",

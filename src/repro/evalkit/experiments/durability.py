@@ -15,8 +15,8 @@ This experiment measures what that costs and what bounds it:
   interval regardless of history length;
 * the write-side overhead (records, bytes, fsyncs) per fsync policy.
 
-Runs on the in-memory backend by default (zero IO, simulator-exact);
-pass a ``data_dir`` to measure real files and fsyncs.
+Runs the WAL on the in-memory medium by default (zero IO: fsyncs are
+counted, not issued); pass a ``data_dir`` to measure real files.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def run(
     fsync_policy: str = "interval",
 ) -> DurabilityResult:
     """Measure recovery cost at each WAL length, with and without
-    snapshots.  ``data_dir`` switches from the in-memory backend to real
+    snapshots.  ``data_dir`` switches from the in-memory medium to real
     files (a temporary directory is used per point and removed)."""
     if wal_lengths is None:
         wal_lengths = [8, 32, 128]

@@ -114,9 +114,9 @@ class RuntimeConfig:
     # -- durability (write-ahead log + snapshots + crash recovery) --------
 
     #: Durability backend: ``off`` (the paper's in-memory implementation,
-    #: zero IO), ``memory`` (log + recovery semantics without touching
-    #: disk — what simulator crash tests use), or ``disk`` (real WAL and
-    #: snapshot files under ``data_dir``).
+    #: zero IO), ``memory`` (the WAL and snapshots of ``disk`` on an
+    #: in-process medium — what simfuzz and simulator crash tests use),
+    #: or ``disk`` (real WAL and snapshot files under ``data_dir``).
     durability: str = "off"
 
     #: Root directory for ``disk`` durability; each machine logs under

@@ -176,9 +176,9 @@ class GuesstimateNode(Host):
         """Simulate a hard process kill: no Goodbye, no cleanup.
 
         Unlike a network crash (fault injector), a halted node stops
-        doing local work too.  The durable store is released (its
-        on-disk state is whatever the fsync policy made stable);
-        :meth:`recover_and_rejoin` rebuilds from it.
+        doing local work too.  A process kill, not a power cut: the store
+        keeps every record appended and closes as usual (fsyncing unless
+        the policy is ``never``); :meth:`recover_and_rejoin` uses it.
         """
         if self.meshes.signals.is_member(self.machine_id):
             self.meshes.leave(self.machine_id)

@@ -7,7 +7,7 @@ asserts that fuzzing with the mutation active reports a violation, that
 the failing seed replays bit-identically, and that the shrinker reduces
 it to a tiny scenario.
 
-Two families:
+The families:
 
 * **protocol mutations** (``commit_order``, ``double_apply``) patch
   :func:`repro.runtime.synchronizer.consolidated_order` — the single
@@ -25,6 +25,9 @@ Two families:
   ignore every :class:`~repro.runtime.messages.WorkReady`, so the
   first operation issued on a quiet cluster never commits; the run
   fails to quiesce.
+* **storage mutation** (``wal_tail``): ``WriteAheadLog.replay`` loses
+  its newest record.  Simulated nodes log through the daemons' WAL, so
+  :func:`repro.simtest.probes.storage_probe` sees the replay fall behind.
 * **effect mutations** (``footprint``, ``commute``) plant the two
   hazards the glint effect engine reasons about: a write outside the
   inferred footprint of an operation (invisible to contracts,
@@ -47,6 +50,7 @@ from repro.apps.listdoc import SharedDoc
 from repro.apps.presence import PresenceCounters
 from repro.core.operations import AtomicOp
 from repro.runtime import synchronizer as sync_mod
+from repro.storage.wal import WriteAheadLog
 
 
 def _commit_order(pristine):
@@ -200,6 +204,15 @@ def _no_wake(pristine):
     return mutant
 
 
+def _wal_tail(pristine):
+    """Replay loses the newest record, as if its append never happened."""
+
+    def mutant(wal):
+        return pristine(wal)[:-1]
+
+    return mutant
+
+
 #: name -> (holder, attribute, mutant factory)
 MUTATIONS = {
     "commit_order": (sync_mod, "consolidated_order", _commit_order),
@@ -210,6 +223,7 @@ MUTATIONS = {
     "footprint": (PresenceCounters, "check_out", _footprint),
     "commute": (PresenceCounters, "tally", _commute),
     "no_wake": (sync_mod.MasterControl, "_on_work_ready", _no_wake),
+    "wal_tail": (WriteAheadLog, "replay", _wal_tail),
 }
 
 

@@ -9,14 +9,16 @@ globally-ordered committed operations plus periodic snapshots.
 * :mod:`repro.storage.codec` — registry-based deterministic JSON-lines
   serializer for every protocol message and storage record (reusable by
   a real network transport).
+* :mod:`repro.storage.medium` — the named byte files (on disk or in
+  memory) the next two live on; the only code here that touches files.
 * :mod:`repro.storage.wal` — segmented append-only log with per-record
   CRC32 framing, configurable fsync policy, and a tail-scan that drops
   torn/corrupt final records instead of failing.
 * :mod:`repro.storage.snapshot` — atomic committed-state snapshots plus
   WAL segment compaction.
 * :mod:`repro.storage.store` — the :class:`~repro.storage.store.DurableStore`
-  facade the runtime talks to, plus in-memory and null implementations
-  so the simulator default stays zero-IO.
+  facade the runtime talks to (``disk`` and ``memory`` differ only in
+  the medium), plus a null one so the simulator default stays zero-IO.
 """
 
 from repro.storage.codec import decode_line, decode_wire, encode_line, encode_wire
@@ -24,7 +26,6 @@ from repro.storage.snapshot import SnapshotData, SnapshotStore
 from repro.storage.store import (
     CommitRecord,
     DurableStore,
-    MemoryStore,
     NullStorage,
     RecoveredState,
     StorageBackend,
@@ -35,7 +36,6 @@ from repro.storage.wal import StorageStats, WriteAheadLog
 __all__ = [
     "CommitRecord",
     "DurableStore",
-    "MemoryStore",
     "NullStorage",
     "RecoveredState",
     "SnapshotData",

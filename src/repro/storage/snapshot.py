@@ -4,9 +4,9 @@ A snapshot bounds recovery replay: it captures the shared-object states
 at a known point of the globally-ordered commit log, so recovery loads
 the snapshot and replays only the WAL suffix past ``wal_index``.
 
-Writes are crash-safe the standard way: serialize to a temporary file
-in the same directory, flush + fsync it, then ``os.replace`` onto the
-final name (atomic on POSIX).  A crash mid-write leaves either the old
+Writes are crash-safe the standard way (the medium's ``replace``):
+serialize to a temporary file, fsync it, rename it onto the final name
+(atomic on POSIX) and fsync the directory.  A crash mid-write leaves either the old
 snapshot or the new one, never a torn file; stray temporaries are
 ignored (and cleaned) on load.  The body carries a CRC so silent
 on-disk corruption is detected rather than trusted.
@@ -15,11 +15,11 @@ on-disk corruption is detected rather than trusted.
 from __future__ import annotations
 
 import json
-import os
 import zlib
 from dataclasses import dataclass
 
 from repro.errors import StorageError
+from repro.storage.medium import Medium, as_medium
 from repro.storage.wal import StorageStats
 
 _FILENAME = "snapshot.json"
@@ -42,17 +42,11 @@ class SnapshotData:
 
 
 class SnapshotStore:
-    """Owns the single latest snapshot file in a directory."""
+    """Owns the single latest snapshot file on a medium."""
 
-    def __init__(self, directory: str, stats: StorageStats | None = None):
-        self.directory = directory
+    def __init__(self, location: str | Medium, stats: StorageStats | None = None):
+        self.medium = as_medium(location)
         self.stats = stats if stats is not None else StorageStats()
-        os.makedirs(directory, exist_ok=True)
-        self._counter = 0
-
-    @property
-    def path(self) -> str:
-        return os.path.join(self.directory, _FILENAME)
 
     def save(
         self, states: dict[str, tuple[str, dict]], completed_count: int, wal_index: int
@@ -66,36 +60,29 @@ class SnapshotStore:
         body_text = json.dumps(body, sort_keys=True, separators=(",", ":"))
         crc = zlib.crc32(body_text.encode("utf-8")) & 0xFFFFFFFF
         blob = json.dumps({"crc": f"{crc:08x}", "body": body_text}).encode("utf-8")
-        self._counter += 1
-        tmp_path = os.path.join(
-            self.directory, f"{_TMP_PREFIX}.{os.getpid()}.{self._counter}"
-        )
-        with open(tmp_path, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.path)
+        self.stats.fsyncs += self.medium.replace(_FILENAME, blob, _TMP_PREFIX)
         self.stats.snapshots_written += 1
         self.stats.snapshot_bytes += len(blob)
-        self.stats.fsyncs += 1
 
     def load(self) -> SnapshotData | None:
         """The latest snapshot, or None if none was ever written."""
-        self._sweep_temporaries()
-        if not os.path.exists(self.path):
+        names = self.medium.names()
+        for name in names:  # leftovers of writes interrupted before the rename
+            if name.startswith(_TMP_PREFIX):
+                self.medium.remove(name)
+        if _FILENAME not in names:
             return None
-        with open(self.path, "rb") as handle:
-            blob = handle.read()
+        blob = self.medium.read(_FILENAME)
         try:
             wrapper = json.loads(blob.decode("utf-8"))
             body_text = wrapper["body"]
             expected = int(wrapper["crc"], 16)
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise StorageError(f"malformed snapshot file {self.path}") from None
+            raise StorageError(f"malformed {_FILENAME} on {self.medium}") from None
         actual = zlib.crc32(body_text.encode("utf-8")) & 0xFFFFFFFF
         if actual != expected:
             raise StorageError(
-                f"snapshot CRC mismatch in {self.path}: "
+                f"snapshot CRC mismatch in {_FILENAME} on {self.medium}: "
                 f"expected {expected:08x}, got {actual:08x}"
             )
         body = json.loads(body_text)
@@ -105,12 +92,3 @@ class SnapshotStore:
             completed_count=body["completed_count"],
             wal_index=body["wal_index"],
         )
-
-    def _sweep_temporaries(self) -> None:
-        """Remove leftovers from writes interrupted before the rename."""
-        for name in os.listdir(self.directory):
-            if name.startswith(_TMP_PREFIX):
-                try:
-                    os.remove(os.path.join(self.directory, name))
-                except OSError:  # pragma: no cover - concurrent sweep
-                    pass

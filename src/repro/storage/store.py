@@ -10,9 +10,9 @@ three operations the synchronizer needs:
 * :meth:`~StorageBackend.recover` — snapshot + WAL-suffix replay after
   a crash.
 
-Two lighter implementations keep the simulator honest without IO:
-:class:`MemoryStore` round-trips every record through the codec (so
-anything unserializable fails fast) but keeps it in process memory, and
+``durability="disk"`` puts it on a directory and ``"memory"`` on a
+:class:`~repro.storage.medium.MemoryMedium`, so the simulator crashes
+and recovers the same log the daemons run, without IO.
 :class:`NullStorage` — the default — does nothing at all, preserving
 the seed runtime's zero-IO behavior.
 """
@@ -22,12 +22,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from repro.errors import StorageError
-from repro.storage.codec import decode_line, encode_line, register_wire_type
+from repro.storage.codec import register_wire_type
+from repro.storage.medium import MemoryMedium, Medium
 from repro.storage.snapshot import SnapshotData, SnapshotStore
-from repro.storage.wal import FSYNC_POLICIES, StorageStats, WriteAheadLog
+from repro.storage.wal import StorageStats, WriteAheadLog
 
 #: One committed operation inside a CommitRecord:
 #: (machine_id, op_number, encoded op payload, result, committed_at).
@@ -79,14 +80,8 @@ class RecoveredState:
 class StorageBackend:
     """Interface (and no-op defaults) for the runtime's durability hooks."""
 
-    def __init__(self, snapshot_interval: int = 0):
-        if snapshot_interval < 0:
-            raise StorageError("snapshot_interval must be >= 0")
-        self.snapshot_interval = snapshot_interval
+    def __init__(self) -> None:
         self.stats = StorageStats()
-        self._commits_since_snapshot = 0
-
-    # -- hooks the synchronizer / node call --------------------------------------
 
     def append_commit(self, record: CommitRecord) -> None:
         """Log one committed round (called before the ApplyAck)."""
@@ -110,19 +105,8 @@ class StorageBackend:
         """Rebuild committed state from snapshot + WAL, or None if empty."""
         return None
 
-    def sync(self) -> None:
-        """Force buffered records to stable storage."""
-
     def close(self) -> None:
         """Flush and release any resources (safe to recover() afterwards)."""
-
-    # -- shared snapshot policy ---------------------------------------------------
-
-    def _snapshot_due(self) -> bool:
-        return (
-            self.snapshot_interval > 0
-            and self._commits_since_snapshot >= self.snapshot_interval
-        )
 
 
 class NullStorage(StorageBackend):
@@ -132,131 +116,64 @@ class NullStorage(StorageBackend):
         return "NullStorage()"
 
 
-class MemoryStore(StorageBackend):
-    """In-memory backend with real codec round-trips.
-
-    Behaves exactly like :class:`DurableStore` from the runtime's point
-    of view — commits are logged, snapshots bound the replay suffix,
-    ``recover()`` rebuilds state — but nothing touches the filesystem.
-    This is what simulator tests use to exercise crash recovery cheaply.
-    """
-
-    def __init__(self, snapshot_interval: int = 0):
-        super().__init__(snapshot_interval)
-        self._records: list[tuple[int, bytes]] = []
-        self._next_index = 1
-        self._snapshot: SnapshotData | None = None
-
-    def append_commit(self, record: CommitRecord) -> None:
-        line = encode_line(record)  # enforce wire fidelity
-        self._records.append((self._next_index, line))
-        self._next_index += 1
-        self.stats.records_appended += 1
-        self.stats.bytes_appended += len(line)
-        self._commits_since_snapshot += 1
-
-    def maybe_snapshot(self, provider: StateProvider, completed_count: int) -> bool:
-        if not self._snapshot_due():
-            return False
-        self._take_snapshot(provider(), completed_count)
-        return True
-
-    def _take_snapshot(self, states: dict, completed_count: int) -> None:
-        wal_index = self._next_index - 1
-        self._snapshot = SnapshotData(
-            states=dict(states), completed_count=completed_count, wal_index=wal_index
-        )
-        self._records = [(i, line) for i, line in self._records if i > wal_index]
-        self._commits_since_snapshot = 0
-        self.stats.snapshots_written += 1
-
-    def rebase(self, states: dict, completed_count: int) -> None:
-        self._take_snapshot(states, completed_count)
-
-    def recover(self) -> RecoveredState | None:
-        started = time.perf_counter()
-        snapshot = self._snapshot
-        wal_index = snapshot.wal_index if snapshot is not None else 0
-        commits = [
-            decode_line(line) for index, line in self._records if index > wal_index
-        ]
-        if snapshot is None and not commits:
-            return None
-        self.stats.recoveries += 1
-        self.stats.last_replay_length = len(commits)
-        self.stats.last_recovery_seconds = time.perf_counter() - started
-        return RecoveredState(
-            states=dict(snapshot.states) if snapshot is not None else {},
-            base_offset=snapshot.completed_count if snapshot is not None else 0,
-            commits=commits,
-        )
-
-    def __repr__(self) -> str:
-        return f"MemoryStore(records={len(self._records)})"
-
-
 class DurableStore(StorageBackend):
-    """WAL + snapshots on disk, one directory per machine."""
+    """WAL + snapshots on one medium: a directory path, or a
+    :class:`~repro.storage.medium.MemoryMedium`."""
 
     def __init__(
         self,
-        directory: str,
+        location: str | Medium,
         fsync: str = "interval",
         snapshot_interval: int = 0,
     ):
-        super().__init__(snapshot_interval)
-        self.directory = directory
-        self.wal = WriteAheadLog(directory, fsync=fsync, stats=self.stats)
-        self.snapshots = SnapshotStore(directory, stats=self.stats)
+        super().__init__()
+        if snapshot_interval < 0:
+            raise StorageError("snapshot_interval must be >= 0")
+        self.snapshot_interval = snapshot_interval
+        self._commits_since_snapshot = 0
+        self.wal = WriteAheadLog(location, fsync=fsync, stats=self.stats)
+        self.medium = self.wal.medium
+        self.snapshots = SnapshotStore(self.medium, stats=self.stats)
 
     def append_commit(self, record: CommitRecord) -> None:
         self.wal.append(record)
         self._commits_since_snapshot += 1
 
     def maybe_snapshot(self, provider: StateProvider, completed_count: int) -> bool:
-        if not self._snapshot_due():
+        if not (
+            self.snapshot_interval > 0
+            and self._commits_since_snapshot >= self.snapshot_interval
+        ):
             return False
-        self._take_snapshot(provider(), completed_count)
+        self.rebase(provider(), completed_count)
         return True
 
-    def _take_snapshot(self, states: dict, completed_count: int) -> None:
+    def rebase(self, states: dict, completed_count: int) -> None:
         self.wal.sync()  # the snapshot must not be ahead of the log
         wal_index = self.wal.next_index - 1
         self.snapshots.save(states, completed_count, wal_index)
         self.wal.compact(wal_index)
         self._commits_since_snapshot = 0
 
-    def rebase(self, states: dict, completed_count: int) -> None:
-        self._take_snapshot(states, completed_count)
-
     def recover(self) -> RecoveredState | None:
         started = time.perf_counter()
         snapshot = self.snapshots.load()
-        wal_index = snapshot.wal_index if snapshot is not None else 0
+        base = snapshot or SnapshotData(states={}, completed_count=0, wal_index=0)
         commits = [
-            record
-            for index, record in self.wal.replay()
-            if index > wal_index and isinstance(record, CommitRecord)
+            record for index, record in self.wal.replay() if index > base.wal_index
         ]
         if snapshot is None and not commits:
             return None
         self.stats.recoveries += 1
         self.stats.last_replay_length = len(commits)
         self.stats.last_recovery_seconds = time.perf_counter() - started
-        return RecoveredState(
-            states=dict(snapshot.states) if snapshot is not None else {},
-            base_offset=snapshot.completed_count if snapshot is not None else 0,
-            commits=commits,
-        )
-
-    def sync(self) -> None:
-        self.wal.sync()
+        return RecoveredState(dict(base.states), base.completed_count, commits)
 
     def close(self) -> None:
         self.wal.close()
 
     def __repr__(self) -> str:
-        return f"DurableStore({self.directory!r})"
+        return f"DurableStore({self.medium!r})"
 
 
 def build_storage(config, machine_id: str) -> StorageBackend:
@@ -265,20 +182,17 @@ def build_storage(config, machine_id: str) -> StorageBackend:
     if durability == "off":
         return NullStorage()
     if durability == "memory":
-        return MemoryStore(snapshot_interval=config.snapshot_interval)
-    if durability == "disk":
+        location: str | Medium = MemoryMedium()
+    elif durability == "disk":
         if not config.data_dir:
             raise StorageError("durability='disk' requires data_dir to be set")
-        if config.fsync_policy not in FSYNC_POLICIES:
-            raise StorageError(
-                f"unknown fsync policy {config.fsync_policy!r}; "
-                f"choose from {FSYNC_POLICIES}"
-            )
-        return DurableStore(
-            os.path.join(config.data_dir, machine_id),
-            fsync=config.fsync_policy,
-            snapshot_interval=config.snapshot_interval,
+        location = os.path.join(config.data_dir, machine_id)
+    else:
+        raise StorageError(
+            f"unknown durability mode {durability!r}; choose off, memory or disk"
         )
-    raise StorageError(
-        f"unknown durability mode {durability!r}; choose off, memory or disk"
+    return DurableStore(
+        location,
+        fsync=config.fsync_policy,
+        snapshot_interval=config.snapshot_interval,
     )

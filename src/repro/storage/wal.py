@@ -1,7 +1,7 @@
 """Segmented append-only write-ahead log with CRC32 framing.
 
-Layout: a directory of segment files named ``wal-<first index>.log``.
-Each record is one text line::
+Layout: segment files named ``wal-<first index>.log`` on a medium
+(:mod:`repro.storage.medium`).  Each record is one text line::
 
     <crc32 of payload, 8 hex digits> <canonical JSON payload>\\n
 
@@ -28,13 +28,13 @@ Fsync policy:
 
 from __future__ import annotations
 
-import os
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import StorageError, WalCorruptionError
 from repro.storage.codec import decode_line, encode_line
+from repro.storage.medium import Medium, as_medium
 
 FSYNC_POLICIES = ("always", "interval", "never")
 #: Appends between fsyncs under the ``interval`` policy.
@@ -58,7 +58,6 @@ class StorageStats:
     records_appended: int = 0
     bytes_appended: int = 0
     fsyncs: int = 0
-    segments_created: int = 0
     segments_compacted: int = 0
     snapshots_written: int = 0
     snapshot_bytes: int = 0
@@ -71,7 +70,7 @@ class StorageStats:
 
 @dataclass(frozen=True)
 class _Segment:
-    path: str
+    name: str
     first_index: int
 
 
@@ -102,7 +101,7 @@ class WriteAheadLog:
 
     def __init__(
         self,
-        directory: str,
+        location: str | Medium,
         fsync: str = "interval",
         stats: StorageStats | None = None,
     ):
@@ -110,12 +109,10 @@ class WriteAheadLog:
             raise StorageError(
                 f"unknown fsync policy {fsync!r}; choose from {FSYNC_POLICIES}"
             )
-        self.directory = directory
+        self.medium = as_medium(location)
         self.fsync = fsync
         self.stats = stats if stats is not None else StorageStats()
-        os.makedirs(directory, exist_ok=True)
-        self._file = None  # open append handle for the active segment
-        self._active: _Segment | None = None
+        self._active: _Segment | None = None  # the segment appends go to
         self._active_bytes = 0
         self._appends_since_sync = 0
         self._next_index: int | None = None  # lazy: set by open_for_append
@@ -128,7 +125,7 @@ class WriteAheadLog:
     def segments(self) -> list[_Segment]:
         """All segment files, ordered by first record index."""
         found = []
-        for name in os.listdir(self.directory):
+        for name in self.medium.names():
             if not (name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)):
                 continue
             middle = name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
@@ -136,60 +133,45 @@ class WriteAheadLog:
                 first_index = int(middle)
             except ValueError:
                 raise StorageError(f"alien file in WAL directory: {name}") from None
-            found.append(_Segment(os.path.join(self.directory, name), first_index))
+            found.append(_Segment(name, first_index))
         return sorted(found, key=lambda segment: segment.first_index)
-
-    def _segment_path(self, first_index: int) -> str:
-        return os.path.join(
-            self.directory, f"{_SEGMENT_PREFIX}{first_index:016d}{_SEGMENT_SUFFIX}"
-        )
 
     # -- replay -----------------------------------------------------------------
 
     def _scan_segment(
         self, segment: _Segment, is_last: bool
-    ) -> tuple[list[tuple[int, Any]], int]:
+    ) -> tuple[list[tuple[int, Any]], int, int]:
         """Decode one segment.
 
-        Returns ``(records, good_bytes)`` where ``good_bytes`` is the
-        byte offset of the first damaged record (== file size when the
-        segment is clean).  Damage in the last segment truncates; damage
-        elsewhere raises.
+        Returns ``(records, good_bytes, size)`` where ``good_bytes`` is
+        the byte offset of the first damaged record (== ``size`` when
+        the segment is clean).  Damage in the last segment truncates;
+        damage elsewhere raises.
         """
-        with open(segment.path, "rb") as handle:
-            blob = handle.read()
+        blob = self.medium.read(segment.name)
         records: list[tuple[int, Any]] = []
         index = segment.first_index
         offset = 0
         while offset < len(blob):
             newline = blob.find(b"\n", offset)
-            if newline < 0:
-                # Torn final write: no newline ever made it out.
-                if not is_last:
-                    raise WalCorruptionError(
-                        f"unterminated record mid-log in {segment.path}"
-                    )
-                if not self._tail_damage_counted:
-                    self.stats.truncated_tail_records += 1
-                    self._tail_damage_counted = True
-                return records, offset
-            line = blob[offset:newline]
             try:
-                records.append((index, decode_line(_unframe(line))))
+                if newline < 0:  # torn final write: no newline made it out
+                    raise WalCorruptionError("unterminated record")
+                records.append((index, decode_line(_unframe(blob[offset:newline]))))
             except Exception as exc:
                 if not is_last:
                     raise WalCorruptionError(
-                        f"corrupt record {index} mid-log in {segment.path}: {exc}"
+                        f"corrupt record {index} mid-log in {segment.name}: {exc}"
                     ) from None
                 # Tail damage: drop this record and everything after it.
                 if not self._tail_damage_counted:
                     remaining = blob.count(b"\n", offset)
                     self.stats.truncated_tail_records += max(1, remaining)
                     self._tail_damage_counted = True
-                return records, offset
+                return records, offset, len(blob)
             index += 1
             offset = newline + 1
-        return records, offset
+        return records, offset, len(blob)
 
     def replay(self) -> list[tuple[int, Any]]:
         """All surviving records as ``(index, decoded object)`` pairs.
@@ -205,18 +187,13 @@ class WriteAheadLog:
             if expected_next is not None and segment.first_index != expected_next:
                 raise WalCorruptionError(
                     f"segment gap: expected first index {expected_next}, "
-                    f"found {segment.first_index} in {segment.path}"
+                    f"found {segment.first_index} in {segment.name}"
                 )
             is_last = position == len(segments) - 1
-            segment_records, good_bytes = self._scan_segment(segment, is_last)
-            if not is_last:
-                del good_bytes  # clean by construction (else _scan raised)
+            segment_records = self._scan_segment(segment, is_last)[0]
             records.extend(segment_records)
             expected_next = segment.first_index + len(segment_records)
         return records
-
-    def __iter__(self) -> Iterator[tuple[int, Any]]:
-        return iter(self.replay())
 
     # -- appending ---------------------------------------------------------------
 
@@ -230,18 +207,12 @@ class WriteAheadLog:
         next_index = 1
         if segments:
             last = segments[-1]
-            for segment in segments[:-1]:
-                clean_records, _ = self._scan_segment(segment, is_last=False)
-                next_index = segment.first_index + len(clean_records)
-            records, good_bytes = self._scan_segment(last, is_last=True)
-            size = os.path.getsize(last.path)
+            for segment in segments[:-1]:  # damage before the tail raises
+                self._scan_segment(segment, is_last=False)
+            records, good_bytes, size = self._scan_segment(last, is_last=True)
             if good_bytes < size:
-                with open(last.path, "r+b") as handle:
-                    handle.truncate(good_bytes)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                    self.stats.fsyncs += 1
-                self._tail_damage_counted = False  # damage is gone from disk
+                self.stats.fsyncs += self.medium.truncate(last.name, good_bytes)
+                self._tail_damage_counted = False  # the damage is gone
             next_index = last.first_index + len(records)
             self._active = last
             self._active_bytes = good_bytes
@@ -255,42 +226,27 @@ class WriteAheadLog:
         assert self._next_index is not None
         return self._next_index
 
-    def _ensure_file(self) -> None:
-        if self._file is not None:
-            return
-        if self._next_index is None:
-            self.open_for_append()
-        if self._active is None or self._active_bytes >= SEGMENT_MAX_BYTES:
-            self._roll()
-            return
-        self._file = open(self._active.path, "ab")
-
     def _roll(self) -> None:
-        """Start a fresh segment at the next record index."""
-        if self._file is not None:
-            self._flush(force=self.fsync != "never")
-            self._file.close()
-            self._file = None
-        assert self._next_index is not None
-        self._active = _Segment(
-            self._segment_path(self._next_index), self._next_index
-        )
-        self._file = open(self._active.path, "ab")
-        self._active_bytes = 0
-        self.stats.segments_created += 1
+        """Close the active segment and start one at the next record index."""
+        next_index = self.next_index
+        self.close()
+        name = f"{_SEGMENT_PREFIX}{next_index:016d}{_SEGMENT_SUFFIX}"
+        self._active = _Segment(name, next_index)
+        self._next_index = next_index
 
     def append(self, record: Any) -> int:
         """Durably append one codec-registered record; returns its index."""
-        self._ensure_file()
-        assert self._file is not None and self._next_index is not None
+        index = self.next_index  # opens the log on first use
         framed = _frame(encode_line(record)[:-1]) + b"\n"
-        if self._active_bytes + len(framed) > SEGMENT_MAX_BYTES and self._active_bytes > 0:
+        if self._active is None or (
+            self._active_bytes > 0
+            and self._active_bytes + len(framed) > SEGMENT_MAX_BYTES
+        ):
             self._roll()
-        self._file.write(framed)
-        self._file.flush()
+        assert self._active is not None
+        self.medium.append(self._active.name, framed)
         self._active_bytes += len(framed)
-        index = self._next_index
-        self._next_index += 1
+        self._next_index = index + 1
         self.stats.records_appended += 1
         self.stats.bytes_appended += len(framed)
         self._appends_since_sync += 1
@@ -298,36 +254,26 @@ class WriteAheadLog:
             self.fsync == "interval"
             and self._appends_since_sync >= FSYNC_INTERVAL
         ):
-            self._fsync()
+            self.sync()
         return index
-
-    def _fsync(self) -> None:
-        if self._file is None:
-            return
-        os.fsync(self._file.fileno())
-        self.stats.fsyncs += 1
-        self._appends_since_sync = 0
-
-    def _flush(self, force: bool) -> None:
-        if self._file is None:
-            return
-        self._file.flush()
-        if force and self._appends_since_sync:
-            self._fsync()
 
     def sync(self) -> None:
         """Force everything appended so far to stable storage."""
-        self._flush(force=True)
+        if self._appends_since_sync:
+            assert self._active is not None
+            self.stats.fsyncs += self.medium.fsync(self._active.name)
+            self._appends_since_sync = 0
 
     def close(self) -> None:
         """Flush (and, unless policy is ``never``, fsync) and release."""
-        if self._file is not None:
-            self._flush(force=self.fsync != "never")
-            self._file.close()
-            self._file = None
+        if self._active is not None:
+            if self.fsync != "never":
+                self.sync()
+            self.medium.close(self._active.name)
         # Forget position; reopened lazily (and re-scanned) on next use.
         self._active = None
         self._active_bytes = 0
+        self._appends_since_sync = 0
         self._next_index = None
 
     # -- compaction ----------------------------------------------------------------
@@ -341,15 +287,9 @@ class WriteAheadLog:
         """
         segments = self.segments()
         removed = 0
-        for position, segment in enumerate(segments):
-            is_last = position == len(segments) - 1
-            if is_last:
-                break
-            next_first = segments[position + 1].first_index
-            if next_first - 1 <= through_index:
-                if self._file is not None and self._active == segment:
-                    continue  # pragma: no cover - active is always last
-                os.remove(segment.path)
+        for segment, successor in zip(segments, segments[1:]):
+            if successor.first_index - 1 <= through_index:
+                self.medium.remove(segment.name)
                 removed += 1
         self.stats.segments_compacted += removed
         return removed

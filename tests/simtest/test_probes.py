@@ -184,8 +184,8 @@ class TestAtomicProbe:
 
 
 class TestPlantedMutations:
-    """Full pipeline: mutation patched in, fuzz a pinned-workload
-    scenario, the matching probe (and only a zoo probe) reports it."""
+    """Full pipeline: mutation patched in, fuzz a (pinned-workload)
+    scenario, the matching probe reports it."""
 
     def _catch(self, mutation, workload, needle, max_seeds=5):
         for seed in range(max_seeds):
@@ -207,3 +207,9 @@ class TestPlantedMutations:
 
     def test_atomic_partial_caught_by_atomic_probe(self):
         self._catch("atomic_partial", "market", "atomic all-or-nothing broken")
+
+    def test_wal_tail_caught_by_storage_probe(self):
+        # Simulated nodes log through the shipping WriteAheadLog, so a
+        # replay that loses its newest record shows on the first seed.
+        seed = self._catch("wal_tail", None, "storage replay of", max_seeds=1)
+        assert seed == 0

@@ -56,7 +56,7 @@ def crash_then_advance(system, faults, replicas, victim="m03"):
 
 
 class TestCrashRecoveryMemory:
-    """Simulator-default crash tests run on the zero-IO memory backend."""
+    """Simulator-default crash tests run the WAL on the zero-IO memory medium."""
 
     def build(self, **config_kwargs):
         faults = ScheduledFaults()

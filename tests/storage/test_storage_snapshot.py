@@ -1,7 +1,7 @@
-"""Unit tests for atomic snapshots."""
+"""Unit tests for atomic snapshots, on a directory and in memory
+(``medium`` fixture, conftest.py)."""
 
 import json
-import os
 
 import pytest
 
@@ -15,68 +15,75 @@ STATES = {
 
 
 class TestSaveLoad:
-    def test_round_trip(self, tmp_path):
-        store = SnapshotStore(str(tmp_path))
+    def test_round_trip(self, medium):
+        store = SnapshotStore(medium)
         store.save(STATES, completed_count=12, wal_index=34)
 
         loaded = store.load()
         assert loaded == SnapshotData(STATES, completed_count=12, wal_index=34)
         assert isinstance(loaded.states["counter"], tuple)
 
-    def test_missing_snapshot_is_none(self, tmp_path):
-        assert SnapshotStore(str(tmp_path)).load() is None
+    def test_missing_snapshot_is_none(self, medium):
+        assert SnapshotStore(medium).load() is None
 
-    def test_save_replaces_previous(self, tmp_path):
-        store = SnapshotStore(str(tmp_path))
+    def test_save_replaces_previous(self, medium):
+        store = SnapshotStore(medium)
         store.save(STATES, completed_count=1, wal_index=1)
         store.save(STATES, completed_count=2, wal_index=9)
 
         assert store.load().completed_count == 2
         # Only one snapshot file ever exists.
-        snapshots = [n for n in os.listdir(tmp_path) if n == "snapshot.json"]
-        assert len(snapshots) == 1
+        assert sorted(medium.names()) == ["snapshot.json"]
 
-    def test_stats_counters(self, tmp_path):
-        store = SnapshotStore(str(tmp_path))
+    def test_stats_counters(self, medium):
+        store = SnapshotStore(medium)
         store.save(STATES, completed_count=1, wal_index=1)
         store.save(STATES, completed_count=2, wal_index=2)
         assert store.stats.snapshots_written == 2
         assert store.stats.snapshot_bytes > 0
-        assert store.stats.fsyncs == 2
+        assert store.stats.fsyncs == 4  # the file and its directory, twice
 
 
 class TestCrashSafety:
-    def test_leftover_tmp_file_is_swept(self, tmp_path):
-        store = SnapshotStore(str(tmp_path))
+    def test_leftover_tmp_file_is_swept(self, medium):
+        store = SnapshotStore(medium)
         store.save(STATES, completed_count=3, wal_index=3)
         # Simulate a crash between tmp-write and rename.
-        stray = tmp_path / "snapshot.tmp.99999.1"
-        stray.write_bytes(b"half-written garbage")
+        stray = "snapshot.tmp.99999.1"
+        medium.replace(stray, b"half-written garbage", "scratch")
 
         loaded = store.load()
         assert loaded.completed_count == 3
-        assert not stray.exists()
+        assert stray not in medium.names()
 
-    def test_corrupt_body_detected(self, tmp_path):
-        store = SnapshotStore(str(tmp_path))
+    def test_corrupt_body_detected(self, medium):
+        store = SnapshotStore(medium)
         store.save(STATES, completed_count=3, wal_index=3)
-        blob = json.loads((tmp_path / "snapshot.json").read_text())
+        blob = json.loads(medium.read("snapshot.json"))
         blob["body"] = blob["body"].replace("7", "8", 1)
-        (tmp_path / "snapshot.json").write_text(json.dumps(blob))
+        medium.replace("snapshot.json", json.dumps(blob).encode(), "scratch")
 
         with pytest.raises(StorageError, match="CRC mismatch"):
             store.load()
 
-    def test_malformed_file_detected(self, tmp_path):
-        (tmp_path / "snapshot.json").write_bytes(b"not json \xff")
+    def test_malformed_file_detected(self, medium):
+        medium.replace("snapshot.json", b"not json \xff", "scratch")
         with pytest.raises(StorageError, match="malformed"):
-            SnapshotStore(str(tmp_path)).load()
+            SnapshotStore(medium).load()
 
-    def test_truncated_file_detected(self, tmp_path):
-        store = SnapshotStore(str(tmp_path))
+    def test_truncated_file_detected(self, medium):
+        store = SnapshotStore(medium)
         store.save(STATES, completed_count=3, wal_index=3)
-        blob = (tmp_path / "snapshot.json").read_bytes()
-        (tmp_path / "snapshot.json").write_bytes(blob[: len(blob) // 2])
+        blob = medium.read("snapshot.json")
+        medium.replace("snapshot.json", blob[: len(blob) // 2], "scratch")
 
         with pytest.raises(StorageError):
             store.load()
+
+
+class TestSaveLoadInMemory(TestSaveLoad):
+    in_memory = True
+
+
+class TestCrashSafetyInMemory(TestCrashSafety):
+    in_memory = True
