@@ -173,8 +173,8 @@ class Welcome:
     """Master → new machine: the snapshot needed to initialize.
 
     ``snapshot`` maps unique object id → encoded state (type name +
-    state dict); ``completed_count`` is |C| at the snapshot point, used
-    to align committed-sequence comparisons.
+    state dict); ``completed_count`` is the global |C| at the snapshot
+    point, used to align committed-sequence comparisons.
 
     When the joiner announced durable recovered state (``Hello`` with
     ``recovered_count``) that the master can serve, ``backlog_from`` is

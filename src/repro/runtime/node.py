@@ -40,6 +40,32 @@ def commit_logged(model: MachineModel, entries) -> None:
         model.commit(OpKey(machine_id, op_number), decode_op(payload), committed_at)
 
 
+def catch_up(model: MachineModel, states: dict | None, entries) -> None:
+    """Bring ``model`` up to a later global position — the one way
+    committed state arrives from outside a round: crash recovery, a
+    snapshot Welcome and a backlog Welcome.
+
+    ``states`` (``unique id -> (type name, state)``), when given, is
+    installed first: a held object takes the new state through
+    ``copy_from``, which no operation describes, so it is re-stamped
+    for the version bookkeeping; a new one is adopted.  Any held
+    history predates those states, so ``C`` restarts empty.  Then the
+    logged ``entries`` commit on top and the guess is refreshed.
+    """
+    if states is not None:
+        committed = model.committed
+        for unique_id, (type_name, state) in states.items():
+            obj = decode_state({"type": type_name, "state": state})
+            if committed.has(unique_id):
+                committed.get(unique_id).copy_from(obj)
+                committed.mark_dirty((unique_id,))
+            else:
+                committed.adopt(unique_id, obj)
+        model.completed.clear()
+    commit_logged(model, entries)
+    model.guess.refresh_from(model.committed)
+
+
 class GuesstimateNode(Host):
     """A machine: model + facade + synchronizer (+ master role)."""
 
@@ -79,14 +105,10 @@ class GuesstimateNode(Host):
             self.synchronizer.master_id = machine_id
         self.storage = build_storage(config, machine_id)
         self.metrics.storage = self.storage.stats
-        #: global |C| this node holds from durable recovery, announced in
-        #: Hello so the master can welcome it with a committed-op backlog
-        #: instead of a full snapshot; None = no recovered state.
-        self._recovered_count: int | None = None
-        #: (machine_id, op_number) of the last recovered completed entry,
-        #: announced alongside the count so the master can verify the
-        #: recovered history really is a prefix of the global order.
-        self._recovered_tail: tuple | None = None
+        #: holds committed state rebuilt from durable recovery and not yet
+        #: welcomed: Hello then announces the held position and tail key,
+        #: so the master can welcome it with a committed-op backlog
+        self._recovered = False
 
         self.state = GuesstimateNode.STATE_STOPPED
         self.completed_offset = 0  # |C| at our last (re)join; aligns comparisons
@@ -156,11 +178,14 @@ class GuesstimateNode(Host):
         """Broadcast Hello, retrying until welcomed (Hello can be lost)."""
         if self.state != GuesstimateNode.STATE_JOINING:
             return
+        count = tail = None
+        if self._recovered:
+            count = self.completed_offset + self.model.completed_count
+            if self.model.completed:
+                key = self.model.completed[-1].key
+                tail = (key.machine_id, key.op_number)
         self.signals_mesh.broadcast(
-            self.machine_id,
-            msg.Hello(
-                self.machine_id, self._recovered_count, self._recovered_tail
-            ),
+            self.machine_id, msg.Hello(self.machine_id, count, tail)
         )
         self.scheduler.call_later(self.config.stall_timeout, self._announce)
 
@@ -270,14 +295,6 @@ class GuesstimateNode(Host):
         if recovered is not None:
             self.model = self._rebuild_from_storage(recovered)
             self.completed_offset = recovered.base_offset
-            self._recovered_count = (
-                recovered.base_offset + self.model.completed_count
-            )
-            if self.model.completed:
-                tail_key = self.model.completed[-1].key
-                self._recovered_tail = (tail_key.machine_id, tail_key.op_number)
-            else:
-                self._recovered_tail = None
             self.metrics.crash_recoveries += 1
             self.metrics.recovery_replay_entries = sum(
                 len(commit.entries) for commit in recovered.commits
@@ -286,12 +303,11 @@ class GuesstimateNode(Host):
                 Tracer.STORAGE,
                 action="recover",
                 replayed_rounds=recovered.replay_length,
-                completed=self._recovered_count,
+                completed=self.completed_offset + self.model.completed_count,
             )
         else:
             self.model = MachineModel(self.machine_id)
-            self._recovered_count = None
-            self._recovered_tail = None
+        self._recovered = recovered is not None
         self.model._op_counter = max(op_counter, self.model._op_counter)
         self.api = Guesstimate(self.model, host=self)
         self.api.read_locks = self.read_locks
@@ -305,13 +321,11 @@ class GuesstimateNode(Host):
         state and the ``[P](sc) = sg`` invariant holds trivially.
         """
         model = MachineModel(self.machine_id)
-        for unique_id, (type_name, state) in recovered.states.items():
-            model.committed.adopt(
-                unique_id, decode_state({"type": type_name, "state": state})
-            )
-        for commit in recovered.commits:
-            commit_logged(model, commit.entries)
-        model.guess.refresh_from(model.committed)
+        catch_up(
+            model,
+            recovered.states,
+            [entry for commit in recovered.commits for entry in commit.entries],
+        )
         model._op_counter = model.op_high_water.get(self.machine_id, 0)
         return model
 
@@ -333,151 +347,93 @@ class GuesstimateNode(Host):
         self.restart()
 
     def load_welcome(self, welcome: msg.Welcome) -> None:
-        """Initialize state from the master's Welcome and go active.
+        """Load the master's Welcome, keyed on the held global position.
 
-        Two shapes: the ordinary full-snapshot Welcome (committed state
-        replaced wholesale), and the delta Welcome a crash-recovered
-        node earns by announcing its durable position — the master
-        ships only the committed operations the node missed, which are
-        replayed on top of the recovered state so the local completed
-        sequence survives the crash.
+        A joiner, or an active node the Welcome is ahead of, catches up:
+        a snapshot Welcome replaces committed state wholesale and rebases
+        the durable log; a delta Welcome — earned by announcing a durable
+        position — replays the committed operations missed since, so the
+        local completed sequence survives the crash.  A delta is
+        loadable only when its backlog covers the held position (and,
+        for a joiner, that position came from recovery).  A stale one
+        must never be loaded as an (empty) snapshot: that would destroy
+        the recovered history.  A joiner ignores it and its Hello retry
+        brings a matching Welcome; an active node restarts, and its
+        fresh Hello announces its true position.
+
+        An active node is re-welcomed when its WelcomeAck was lost, or
+        raced a round it was not part of; at or behind its position the
+        Welcome only needs the re-ack.
         """
-        if self.state != GuesstimateNode.STATE_JOINING:
-            if self.state == GuesstimateNode.STATE_ACTIVE:
-                # Duplicate or superseding Welcome: our earlier ack was
-                # lost, or it raced a round at the master and we must
-                # catch up on commits our snapshot predates.
-                self._load_superseding_welcome(welcome)
+        if self.state not in (
+            GuesstimateNode.STATE_JOINING,
+            GuesstimateNode.STATE_ACTIVE,
+        ):
             return
-        if welcome.backlog_from is not None:
-            # Delta Welcome: only loadable when its backlog actually
-            # covers our recovered position.  A stale one (built from a
-            # previous Hello's count before our newest announcement
-            # arrived) must be ignored, NOT treated as a snapshot
-            # Welcome — its snapshot field is empty, and rebasing the
-            # durable log to an empty snapshot silently destroys the
-            # recovered history.  The _announce retry loop keeps
-            # re-sending Hello, so a matching Welcome follows.
-            if self._recovered_count is None:
-                return
-            skip = self._recovered_count - welcome.backlog_from
-            if not 0 <= skip <= len(welcome.backlog):
-                return
-            self._load_welcome_backlog(welcome, skip)
-            self.trace(
-                Tracer.STORAGE,
-                action="catch_up",
-                backlog=len(welcome.backlog),
-                completed=self.completed_offset + self.model.completed_count,
-            )
+        joining = self.state == GuesstimateNode.STATE_JOINING
+        held = self.completed_offset + self.model.completed_count
+        if not joining and welcome.completed_count <= held:
+            self._ack_welcome(welcome)
+            return
+        if welcome.backlog_from is None:
+            catch_up(self.model, welcome.snapshot, ())
+            self.completed_offset = welcome.completed_count
+            self.storage.rebase(dict(welcome.snapshot), welcome.completed_count)
         else:
-            self._load_welcome_snapshot(welcome)
-        self._recovered_count = None
-        self._recovered_tail = None
-        # A crash can wipe the op counter while the cluster commits our
-        # last flush; resume numbering above everything ever committed.
-        self.model._op_counter = max(self.model._op_counter, welcome.op_floor)
+            skip = held - welcome.backlog_from
+            if not 0 <= skip <= len(welcome.backlog) or (
+                joining and not self._recovered
+            ):
+                if not joining:
+                    self.restart()
+                return
+            missed = welcome.backlog[skip:]
+            catch_up(self.model, None, missed)
+            held = self.completed_offset + self.model.completed_count
+            if missed:
+                # Logged like a round (round_id -1 marks a catch-up)
+                # so recovery replays it in order too.
+                self.storage.append_commit(CommitRecord(-1, missed, held))
+            if joining:
+                self.trace(
+                    Tracer.STORAGE,
+                    action="catch_up",
+                    backlog=len(welcome.backlog),
+                    completed=held,
+                )
+        self._recovered = False
         # Operations issued while offline are still pending: re-apply
-        # them to the refreshed guesstimate ([P](sc) = sg) so they can
-        # flush in the next round.
+        # them to the refreshed guesstimate ([P](sc) = sg) so they
+        # can flush in the next round.
         self.replay_pending()
         self.guess_changed(True)
-        self.state = GuesstimateNode.STATE_ACTIVE
-        self.signals_mesh.send(
-            self.machine_id, welcome.master_id, msg.WelcomeAck(self.machine_id)
-        )
-        self.trace(
-            Tracer.MEMBERSHIP,
-            state="active",
-            snapshot=len(welcome.snapshot),
-            backlog=len(welcome.backlog),
-        )
-        self.synchronizer.welcomed(welcome.master_id)
-        self._drain_deferred()
-        if self.on_welcome is not None:
-            self.on_welcome()
-
-    def _load_superseding_welcome(self, welcome: msg.Welcome) -> None:
-        """A re-Welcome received while already active.
-
-        If the master's count is ahead of ours, our WelcomeAck raced a
-        round we were not part of: the master refused to admit us and
-        re-welcomed with the commits we missed.  Catch up — by backlog
-        replay when the Welcome extends our position, else by adopting
-        the fresh snapshot — and re-ack; a Welcome at or behind our own
-        position is a plain duplicate and only needs the re-ack.
-        """
-        local_total = self.completed_offset + self.model.completed_count
-        if welcome.completed_count > local_total:
-            if (
-                welcome.backlog_from is not None
-                and welcome.backlog_from > local_total
-            ):
-                # A delta Welcome whose backlog starts past our
-                # position cannot be loaded (its snapshot is empty, so
-                # the snapshot path would corrupt both the live offset
-                # and the durable log).  Rejoin through recovery: the
-                # fresh Hello announces our true position.
-                self.restart()
-                return
-            if welcome.backlog_from is not None:
-                self._load_welcome_backlog(
-                    welcome, local_total - welcome.backlog_from
-                )
-            else:
-                self._load_welcome_snapshot(welcome)
-            self.replay_pending()
-            self.guess_changed(True)
+        if not joining:
             self.trace(
                 Tracer.MEMBERSHIP,
                 action="catch_up_welcome",
                 completed=welcome.completed_count,
             )
+        self._ack_welcome(welcome)
+        if joining:
+            self.state = GuesstimateNode.STATE_ACTIVE
+            self.trace(
+                Tracer.MEMBERSHIP,
+                state="active",
+                snapshot=len(welcome.snapshot),
+                backlog=len(welcome.backlog),
+            )
+            self.synchronizer.welcomed(welcome.master_id)
+            self._drain_deferred()
+            if self.on_welcome is not None:
+                self.on_welcome()
+
+    def _ack_welcome(self, welcome: msg.Welcome) -> None:
+        # A crash can wipe the op counter while the cluster commits our
+        # last flush; resume numbering above everything ever committed.
         self.model._op_counter = max(self.model._op_counter, welcome.op_floor)
         self.signals_mesh.send(
             self.machine_id, welcome.master_id, msg.WelcomeAck(self.machine_id)
         )
-
-    def _load_welcome_snapshot(self, welcome: msg.Welcome) -> None:
-        """The ordinary join: adopt the master's full state snapshot."""
-        for unique_id, (type_name, state) in welcome.snapshot.items():
-            obj = decode_state({"type": type_name, "state": state})
-            if self.model.committed.has(unique_id):
-                self.model.committed.get(unique_id).copy_from(obj)
-                # copy_from bypasses the store; re-stamp so the version
-                # bookkeeping and snapshot cache see the new state.
-                self.model.committed.mark_dirty((unique_id,))
-            else:
-                self.model.committed.adopt(unique_id, obj)
-        # Any locally-held history predates the snapshot; from here on
-        # this machine holds the global suffix starting at the offset.
-        self.model.completed.clear()
-        self.model.guess.refresh_from(self.model.committed)
-        self.completed_offset = welcome.completed_count
-        # The durable log is superseded by the snapshot we just took.
-        self.storage.rebase(dict(welcome.snapshot), welcome.completed_count)
-
-    def _load_welcome_backlog(self, welcome: msg.Welcome, skip: int) -> None:
-        """Catch up by replaying only the commits this node missed.
-
-        The held committed state plus this backlog is, by the global
-        ordering, byte-identical to every survivor's ``sc`` — and
-        unlike the snapshot path the node keeps its completed
-        sequence, extended by the missed suffix.  ``skip`` drops
-        leading backlog entries the node already holds (a Welcome built
-        from an older position overlaps).
-        """
-        missed = welcome.backlog[skip:]
-        commit_logged(self.model, missed)
-        if missed:
-            # Catch-up batches are logged like a round (round_id -1
-            # marks them) so recovery replays them in order too.
-            self.storage.append_commit(
-                CommitRecord(
-                    -1, missed, self.completed_offset + self.model.completed_count
-                )
-            )
-        self.model.guess.refresh_from(self.model.committed)
 
     def replay_pending(self) -> None:
         """Re-apply P onto the refreshed guess, counting the executions."""

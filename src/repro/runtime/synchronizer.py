@@ -719,12 +719,10 @@ class MasterControl:
         self.join_queue: list[str] = []
         self.awaiting_ack: set[str] = set()
         self.awaiting_restart: set[str] = set()
-        #: joiners that announced durable recovered state: id -> global
-        #: |C| they already hold (served a backlog Welcome if possible)
-        self.recovered_counts: dict[str, int] = {}
-        #: id -> (machine_id, op_number) tail key of that recovered
-        #: history, cross-checked before a delta Welcome is served
-        self.recovered_tails: dict[str, tuple] = {}
+        #: joiners that announced durable recovered state: id -> (global
+        #: |C| they already hold, (machine_id, op_number) tail key of that
+        #: history or None); served a backlog Welcome if the tail checks
+        self.recovered: dict[str, tuple[int, tuple | None]] = {}
         #: when the open round last moved (or started), and whether the
         #: one watchdog timer that reads it is pending
         self._last_progress = 0.0
@@ -916,16 +914,13 @@ class MasterControl:
     def _on_hello(self, hello: msg.Hello) -> None:
         self.awaiting_restart.discard(hello.machine_id)
         if hello.recovered_count is not None:
-            self.recovered_counts[hello.machine_id] = hello.recovered_count
-            if hello.recovered_tail is not None:
-                self.recovered_tails[hello.machine_id] = tuple(
-                    hello.recovered_tail
-                )
-            else:
-                self.recovered_tails.pop(hello.machine_id, None)
+            tail = hello.recovered_tail
+            self.recovered[hello.machine_id] = (
+                hello.recovered_count,
+                tuple(tail) if tail is not None else None,
+            )
         else:
-            self.recovered_counts.pop(hello.machine_id, None)
-            self.recovered_tails.pop(hello.machine_id, None)
+            self.recovered.pop(hello.machine_id, None)
         if hello.machine_id in self.participants:
             # A standing participant saying Hello has rebooted out from
             # under us (silent crash, quick recovery): its old standing
@@ -954,8 +949,7 @@ class MasterControl:
             # and the joiner catches up on the missed suffix).
             return
         self.awaiting_ack.discard(ack.machine_id)
-        self.recovered_counts.pop(ack.machine_id, None)
-        self.recovered_tails.pop(ack.machine_id, None)
+        self.recovered.pop(ack.machine_id, None)
         if ack.machine_id not in self.participants:
             self.participants.append(ack.machine_id)
         self.node.trace(Tracer.MEMBERSHIP, joined=ack.machine_id)
@@ -988,12 +982,12 @@ class MasterControl:
         key matches our entry at that position — a count alone cannot
         prove the recovered history is a prefix of the global order)."""
         node = self.node
-        recovered_count = self.recovered_counts.get(machine_id)
+        recovered_count, tail = self.recovered.get(machine_id, (None, None))
         offset = node.completed_offset
         total = offset + node.model.completed_count
         op_floor = node.model.op_high_water.get(machine_id, 0)
         if recovered_count is not None and not self._tail_matches(
-            machine_id, recovered_count, offset
+            tail, recovered_count, offset
         ):
             # The joiner's recovered history is NOT the global prefix it
             # claims (e.g. it logged rounds around a hole before
@@ -1028,16 +1022,15 @@ class MasterControl:
             machine_id=machine_id,
             master_id=node.machine_id,
             snapshot=node.model.committed.snapshot_states(),
-            completed_count=node.model.completed_count,
+            completed_count=total,
             op_floor=op_floor,
         )
 
     def _tail_matches(
-        self, machine_id: str, recovered_count: int, offset: int
+        self, tail: tuple | None, recovered_count: int, offset: int
     ) -> bool:
         """True when the joiner's announced tail key agrees with our
         completed entry at its claimed position (or no tail to check)."""
-        tail = self.recovered_tails.get(machine_id)
         if tail is None:
             return True  # snapshot-only recovery holds no entries
         index = recovered_count - offset - 1

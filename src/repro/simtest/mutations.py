@@ -28,6 +28,11 @@ The families:
 * **storage mutation** (``wal_tail``): ``WriteAheadLog.replay`` loses
   its newest record.  Simulated nodes log through the daemons' WAL, so
   :func:`repro.simtest.probes.storage_probe` sees the replay fall behind.
+* **catch-up mutation** (``welcome_gap``): a backlog catch-up — the
+  delta Welcome a recovered node earns — drops its first missed entry
+  at the one seam, :func:`repro.runtime.node.catch_up`, through which
+  committed state arrives from outside a round.  The joiner's committed
+  prefix gets a hole that the cluster's lacks.
 * **effect mutations** (``footprint``, ``commute``) plant the two
   hazards the glint effect engine reasons about: a write outside the
   inferred footprint of an operation (invisible to contracts,
@@ -49,6 +54,7 @@ from contextlib import contextmanager
 from repro.apps.listdoc import SharedDoc
 from repro.apps.presence import PresenceCounters
 from repro.core.operations import AtomicOp
+from repro.runtime import node as node_mod
 from repro.runtime import synchronizer as sync_mod
 from repro.storage.wal import WriteAheadLog
 
@@ -213,6 +219,17 @@ def _wal_tail(pristine):
     return mutant
 
 
+def _welcome_gap(pristine):
+    """A backlog catch-up (no states to install) loses its first entry."""
+
+    def mutant(model, states, entries):
+        if states is None:
+            entries = entries[1:]
+        return pristine(model, states, entries)
+
+    return mutant
+
+
 #: name -> (holder, attribute, mutant factory)
 MUTATIONS = {
     "commit_order": (sync_mod, "consolidated_order", _commit_order),
@@ -224,6 +241,7 @@ MUTATIONS = {
     "commute": (PresenceCounters, "tally", _commute),
     "no_wake": (sync_mod.MasterControl, "_on_work_ready", _no_wake),
     "wal_tail": (WriteAheadLog, "replay", _wal_tail),
+    "welcome_gap": (node_mod, "catch_up", _welcome_gap),
 }
 
 

@@ -2,10 +2,10 @@
 
 A failing fuzz scenario is rarely a good bug report: five machines,
 a dozen faults, ninety virtual seconds.  The shrinker repeatedly tries
-structural simplifications — drop one fault/churn event, remove the
-highest-numbered machine, halve the duration, simplify the knobs,
-shrink the workload — re-running the scenario after each candidate and
-keeping it only if it *still fails*.  Like delta debugging, this loops
+structural simplifications — drop one fault/churn event, remove a
+machine (the highest-numbered first), halve the duration, simplify the
+knobs, shrink the workload — re-running the scenario after each
+candidate and keeping it only if it *still fails*.  Like delta debugging, this loops
 to a fixpoint; unlike Hypothesis-style shrinking it works on the
 declarative :class:`~repro.simtest.scenario.ScenarioSpec`, so every
 intermediate candidate is a valid, directly replayable scenario.
@@ -51,22 +51,48 @@ def _references(spec_item, machine: str) -> bool:
     ) == machine
 
 
-def _drop_last_machine(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
-    """Remove the highest-numbered machine and every fault naming it."""
-    if spec.n_machines <= 2:
-        return
-    victim = machine_name(spec.n_machines)
-    yield replace(
+def _without_machine(spec: ScenarioSpec, index: int) -> ScenarioSpec:
+    """``spec`` minus machine ``index`` and every fault naming it; the
+    machines numbered above it move down one."""
+    victim = machine_name(index)
+
+    def move(name: str) -> str:
+        return machine_name(int(name[1:]) - 1) if name > victim else name
+
+    def renumbered(items: tuple) -> tuple:
+        kept = []
+        for item in items:
+            if _references(item, victim):
+                continue
+            changes = {
+                field: move(getattr(item, field))
+                for field in ("machine", "recipient")
+                if getattr(item, field, None)
+            }
+            if getattr(item, "groups", None) is not None:
+                changes["groups"] = tuple(
+                    tuple(move(name) for name in group) for group in item.groups
+                )
+            kept.append(replace(item, **changes))
+        return tuple(kept)
+
+    return replace(
         spec,
         n_machines=spec.n_machines - 1,
-        drops=tuple(d for d in spec.drops if not _references(d, victim)),
-        crashes=tuple(c for c in spec.crashes if not _references(c, victim)),
-        partitions=tuple(p for p in spec.partitions if not _references(p, victim)),
-        commit_crashes=tuple(
-            c for c in spec.commit_crashes if not _references(c, victim)
-        ),
-        churn=tuple(c for c in spec.churn if not _references(c, victim)),
+        drops=renumbered(spec.drops),
+        crashes=renumbered(spec.crashes),
+        partitions=renumbered(spec.partitions),
+        commit_crashes=renumbered(spec.commit_crashes),
+        churn=renumbered(spec.churn),
     )
+
+
+def _drop_machine(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
+    """Remove one slave, the highest-numbered first: a fault on the
+    highest machine can carry the failure."""
+    if spec.n_machines > 2:
+        for index in range(spec.n_machines, 1, -1):
+            yield _without_machine(spec, index)
 
 
 def _shorten(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
@@ -99,7 +125,7 @@ def _simplify_knobs(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
 
 #: Candidate generators, coarsest first (big cuts before knob tweaks).
 PASSES: tuple[Callable[[ScenarioSpec], Iterator[ScenarioSpec]], ...] = (
-    _drop_last_machine,
+    _drop_machine,
     _shorten,
     _drop_one_fault,
     _simplify_knobs,

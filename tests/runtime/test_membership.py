@@ -1,5 +1,8 @@
 """Dynamic membership: join, snapshot transfer, leave."""
 
+import dataclasses
+
+from repro.runtime import messages as msg
 from tests.helpers import Counter, quick_system, shared_counter
 
 
@@ -181,3 +184,63 @@ class TestLeave:
         system.run_until_quiesced()
         assert node.model.committed.get(uid).value == 1
         system.check_all_invariants()
+
+
+class TestWelcomeToActiveNode:
+    """A Welcome that reaches a node already active: a duplicate (its
+    ack was lost) is only re-acked; one whose backlog starts past the
+    node's position cannot be loaded, so the node restarts."""
+
+    def active(self, **config):
+        system = quick_system(2, **config)
+        replicas, uid = shared_counter(system)
+        for _ in range(3):
+            system.api("m02").invoke(replicas["m02"], "increment", 100)
+        system.run_until_quiesced()
+        return system, system.node("m02"), uid
+
+    def capture(self, monkeypatch, system, method):
+        sent = []
+        monkeypatch.setattr(
+            system.meshes.signals, method, lambda *args: sent.append(args[-1])
+        )
+        return sent
+
+    def test_duplicate_welcome_is_only_reacked(self, monkeypatch):
+        system, node, uid = self.active()
+        held = node.completed_offset + node.model.completed_count
+        states = node.model.committed.snapshot_states()
+        completed = list(node.model.completed)
+        duplicate = msg.Welcome(
+            machine_id=node.machine_id,
+            master_id="m01",
+            snapshot={uid: ("Counter", {"value": 99})},
+            completed_count=held,
+            op_floor=node.model._op_counter + 40,
+        )
+        sent = self.capture(monkeypatch, system, "send")
+        node.load_welcome(duplicate)
+        assert node.state == node.STATE_ACTIVE
+        assert node.model.committed.snapshot_states() == states
+        assert node.model.completed == completed
+        assert node.completed_offset + node.model.completed_count == held
+        assert sent == [msg.WelcomeAck(node.machine_id)]
+        assert node.model._op_counter == duplicate.op_floor
+
+    def test_unreachable_backlog_restarts_into_joining(self, monkeypatch):
+        system, node, uid = self.active(durability="memory")
+        held = node.completed_offset + node.model.completed_count
+        tail = node.model.completed[-1].key
+        master = system.node("m01").master
+        ahead = dataclasses.replace(
+            master._build_welcome(node.machine_id),
+            completed_count=held + 3,
+            backlog_from=held + 1,
+        )
+        hellos = self.capture(monkeypatch, system, "broadcast")
+        node.load_welcome(ahead)
+        assert node.state == node.STATE_JOINING
+        assert node.metrics.restarts == 1
+        assert hellos == [
+            msg.Hello(node.machine_id, held, (tail.machine_id, tail.op_number))
+        ]

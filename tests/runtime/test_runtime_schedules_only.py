@@ -40,9 +40,19 @@ def test_runtime_never_executes_or_records_an_operation_itself():
 
 
 def test_runtime_stamps_by_hand_only_for_the_snapshot_copy():
-    """``_load_welcome_snapshot`` writes through ``copy_from``, which no
+    """``catch_up`` installs a snapshot through ``copy_from``, which no
     operation describes; that re-stamp is the one ``mark_dirty`` left."""
     assert called_names()["mark_dirty"] <= 1
+
+
+def test_committed_state_arrives_through_one_catch_up():
+    """Crash recovery, the snapshot Welcome and the backlog Welcome all
+    reach committed state through ``catch_up``: it is the one place the
+    runtime decodes a state or commits a logged entry."""
+    calls = called_names()
+    assert calls["catch_up"] >= 1
+    assert calls["decode_state"] == 1
+    assert calls["commit_logged"] == 1
 
 
 COST_MODEL = ("flush_cpu", "apply_cpu", "update_cpu")

@@ -7,8 +7,14 @@ import pytest
 
 from repro.simtest.fuzz import replay, run_seeds
 from repro.simtest.runner import run_scenario
-from repro.simtest.scenario import generate_scenario
-from repro.simtest.shrink import shrink
+from repro.simtest.scenario import (
+    ChurnSpec,
+    CrashSpec,
+    DropSpec,
+    PartitionSpec,
+    generate_scenario,
+)
+from repro.simtest.shrink import _without_machine, shrink
 
 
 class TestRunScenario:
@@ -58,6 +64,23 @@ class TestMutationCatch:
         # Every intermediate spec is replayable; the minimum still fails.
         final = run_scenario(shrunk.minimized, record_trace=False, mutation="commit_order")
         assert final.violations
+
+    def test_dropping_an_inner_machine_renumbers_the_ones_above(self):
+        spec = replace(
+            generate_scenario(1),
+            n_machines=4,
+            crashes=(CrashSpec("m04", 1.0, 2.0), CrashSpec("m03", 3.0, 4.0)),
+            drops=(DropSpec(1.0, 2.0, recipient="m04"),),
+            partitions=(PartitionSpec((("m01", "m04"), ("m02",)), 5.0, 6.0),),
+            commit_crashes=(),
+            churn=(ChurnSpec("join", 7.0),),
+        )
+        smaller = _without_machine(spec, 3)
+        assert smaller.n_machines == 3
+        assert smaller.crashes == (CrashSpec("m03", 1.0, 2.0),)
+        assert smaller.drops == (DropSpec(1.0, 2.0, recipient="m03"),)
+        assert smaller.partitions[0].groups == (("m01", "m03"), ("m02",))
+        assert smaller.churn == spec.churn
 
     def test_shrink_requires_failing_start(self):
         with pytest.raises(ValueError):

@@ -213,3 +213,11 @@ class TestPlantedMutations:
         # replay that loses its newest record shows on the first seed.
         seed = self._catch("wal_tail", None, "storage replay of", max_seeds=1)
         assert seed == 0
+
+    def test_welcome_gap_caught_by_checkpoint_probe(self):
+        # Seed 0 welcomes by snapshot only; seed 1's rejoin takes a
+        # delta Welcome, whose backlog catch-up loses an entry.
+        seed = self._catch(
+            "welcome_gap", None, "committed-prefix disagreement", max_seeds=2
+        )
+        assert seed == 1

@@ -124,8 +124,7 @@ class TestRecoveryTailVerification:
     def test_mismatched_tail_falls_back_to_snapshot(self):
         system, master, slave = _active_pair()
         control = master.master
-        control.recovered_counts[slave.machine_id] = 2
-        control.recovered_tails[slave.machine_id] = ("m99", 42)
+        control.recovered[slave.machine_id] = (2, ("m99", 42))
         welcome = control._build_welcome(slave.machine_id)
         assert welcome.backlog_from is None
         assert welcome.snapshot  # full state, not a delta
@@ -134,10 +133,9 @@ class TestRecoveryTailVerification:
         system, master, slave = _active_pair()
         control = master.master
         entry = master.model.completed[1]
-        control.recovered_counts[slave.machine_id] = 2
-        control.recovered_tails[slave.machine_id] = (
-            entry.key.machine_id,
-            entry.key.op_number,
+        control.recovered[slave.machine_id] = (
+            2,
+            (entry.key.machine_id, entry.key.op_number),
         )
         welcome = control._build_welcome(slave.machine_id)
         assert welcome.backlog_from == 2
@@ -158,11 +156,15 @@ class TestStaleDeltaWelcome:
     (empty) snapshot."""
 
     def _joining(self, slave, recovered_count):
+        """Rejoin holding global position ``recovered_count`` from
+        recovery (None: nothing recovered)."""
         slave.state = slave.STATE_JOINING
-        slave._recovered_count = recovered_count
+        slave._recovered = recovered_count is not None
+        if recovered_count is not None:
+            slave.completed_offset = recovered_count - slave.model.completed_count
         return slave
 
-    def test_unalignable_backlog_is_ignored(self):
+    def test_unalignable_backlog_is_ignored(self, monkeypatch):
         system, master, slave = _active_pair()
         self._joining(slave, recovered_count=7)
         before_offset = slave.completed_offset
@@ -177,21 +179,35 @@ class TestStaleDeltaWelcome:
         slave.load_welcome(stale)  # backlog [2, 3) cannot reach position 7
         assert slave.state == slave.STATE_JOINING  # not activated
         assert slave.completed_offset == before_offset
-        assert slave._recovered_count == 7  # still announced on retry
+        hellos = []
+        monkeypatch.setattr(
+            slave.signals_mesh, "broadcast", lambda sender, hello: hellos.append(hello)
+        )
+        slave._announce()
+        assert hellos[-1].recovered_count == 7  # still announced on retry
 
     def test_backlog_welcome_without_recovered_state_is_ignored(self):
         system, master, slave = _active_pair()
         self._joining(slave, recovered_count=None)
+        held = slave.completed_offset + slave.model.completed_count
+        before = slave.model.committed.snapshot_states()
+        appended = []
+        slave.storage.append_commit = appended.append
+        # The backlog lines up with the held position, so only the
+        # missing recovery can turn it away.
         stale = msg.Welcome(
             machine_id=slave.machine_id,
             master_id=master.machine_id,
             snapshot={},
-            completed_count=9,
-            backlog_from=5,
+            completed_count=held,
+            backlog_from=held,
             backlog=(),
         )
         slave.load_welcome(stale)
         assert slave.state == slave.STATE_JOINING
+        assert slave.completed_offset + slave.model.completed_count == held
+        assert slave.model.committed.snapshot_states() == before
+        assert appended == []
 
 
 class TestOriginalFailingSeeds:

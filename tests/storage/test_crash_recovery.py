@@ -205,11 +205,13 @@ class TestOneStreamFourRoutes:
     while active — and every route commits through the model's one
     ``commit`` step: same ``sc``, same ``(machine, op number, result)``
     sequence, results computed by the replay rather than copied from
-    the log."""
+    the log.  The two snapshot routes — a Welcome to a joiner with no
+    durable state, a superseding one to an active node — install the
+    same ``sc`` at the same global position."""
 
     def build(self):
         system = quick_system(
-            4, stall_timeout=2.0, durability="memory", tracing=True
+            5, stall_timeout=2.0, durability="memory", tracing=True
         )
         replicas, uid = shared_counter(system)
         return system, replicas
@@ -225,21 +227,22 @@ class TestOneStreamFourRoutes:
         system.run_until_quiesced()
 
     def committed_stream(self):
-        """Two bursts; m03 (still active) and m04 (halted) sit out the
-        second one.  Returns the system and the global position the two
-        stragglers hold."""
+        """Two bursts; m03 and m05 (still active) and m04 (halted) sit
+        out the second one.  Returns the system and the global position
+        the stragglers hold."""
         system, replicas = self.build()
         self.burst(system, replicas, limit=3, times=2)
         master = system.master_node.master
         held = system.node("m03").model.completed_count
-        for straggler in ("m03", "m04"):
+        for straggler in ("m03", "m04", "m05"):
             master.participants.remove(straggler)
         system.node("m04").halt()
         self.burst(system, replicas, limit=6, times=3)
         reference = aligned_completed(system.node("m01"))
         assert len(reference) > held
         assert {result for _, _, result in reference} == {True, False}
-        assert aligned_completed(system.node("m03")) == reference[:held]
+        for straggler in ("m03", "m05"):
+            assert aligned_completed(system.node(straggler)) == reference[:held]
         return system, held
 
     def actions(self, system, machine_id, kind):
@@ -251,7 +254,7 @@ class TestOneStreamFourRoutes:
 
     def test_every_route_commits_the_same_sequence(self):
         system, held = self.committed_stream()
-        m01, m02, m03, m04 = (system.node(f"m0{i}") for i in range(1, 5))
+        m01, m02, m03, m04, m05 = (system.node(f"m0{i}") for i in range(1, 6))
         master = system.master_node.master
 
         # WAL recovery.
@@ -264,9 +267,24 @@ class TestOneStreamFourRoutes:
         assert "catch_up" in self.actions(system, "m04", "storage")
 
         # Superseding Welcome to an active node that fell behind.
-        master.recovered_counts["m03"] = held
-        m03.load_welcome(master._build_welcome("m03"))
+        tail = m03.model.completed[-1].key
+        master.recovered["m03"] = (held, (tail.machine_id, tail.op_number))
+        welcome = master._build_welcome("m03")
+        assert welcome.backlog_from == held
+        m03.load_welcome(welcome)
         assert "catch_up_welcome" in self.actions(system, "m03", "membership")
+
+        # Snapshot Welcome to a joiner with no durable state.
+        m06 = system.add_machine()
+        system.run_for(5.0)
+        assert m06.state == "active"
+        assert m06.metrics.crash_recoveries == 0
+
+        # Superseding snapshot Welcome to an active node that fell behind.
+        welcome = master._build_welcome("m05")
+        assert welcome.backlog_from is None
+        m05.load_welcome(welcome)
+        assert "catch_up_welcome" in self.actions(system, "m05", "membership")
 
         reference = aligned_completed(m01)
         for route, model in (
@@ -277,6 +295,10 @@ class TestOneStreamFourRoutes:
         ):
             assert model.committed.state_equal(m01.model.committed), route
             assert completed_sequence(model) == reference, route
+        position = m01.completed_offset + m01.model.completed_count
+        for route, node in (("snapshot Welcome", m06), ("superseding snapshot", m05)):
+            assert node.model.committed.state_equal(m01.model.committed), route
+            assert node.completed_offset + node.model.completed_count == position
 
     def test_replay_records_the_result_it_computed(self):
         """A WAL record whose logged result was flipped rebuilds with
@@ -434,17 +456,19 @@ class TestMasterDaemonRestart:
     simulator.
     """
 
-    def restart_master(self, tmp_path):
+    def restart_master(self, tmp_path, increments=1, **config_kwargs):
         system = quick_system(
             3,
             stall_timeout=2.0,
             durability="disk",
             data_dir=str(tmp_path),
             fsync_policy="always",
+            **config_kwargs,
         )
         replicas, uid = shared_counter(system)
-        issue_increment(system, "m01", replicas, delay=0.1)
-        system.run_for(2.0)
+        for index in range(increments):
+            issue_increment(system, "m01", replicas, delay=0.1 + 0.6 * index)
+        system.run_for(2.0 + 0.6 * (increments - 1))
         system.run_until_quiesced()
         old = system.master_node
         old.halt()
@@ -469,6 +493,26 @@ class TestMasterDaemonRestart:
         assert master.model.guess.state_equal(master.model.committed)
         assert master.api.model is master.model
         assert master.api.read_locks is master.read_locks
+
+    def test_snapshot_welcome_carries_the_global_position(self, tmp_path):
+        """A master booted from a snapshot holds only the suffix past it;
+        its snapshot Welcome still names the global |C|, and a fresh
+        joiner takes that position."""
+        system, replicas, uid = self.restart_master(
+            tmp_path, increments=6, snapshot_interval=2
+        )
+        master = system.master_node
+        position = master.completed_offset + master.model.completed_count
+        assert position == 7
+        assert master.completed_offset > 0  # booted from a snapshot
+        joiner = system.add_machine()
+        welcome = master.master._build_welcome(joiner.machine_id)
+        assert welcome.backlog_from is None
+        assert welcome.completed_count == position
+        system.run_for(5.0)
+        assert joiner.state == "active"
+        assert joiner.completed_offset + joiner.model.completed_count == position
+        assert joiner.model.committed.state_equal(master.model.committed)
 
     @pytest.mark.xfail(
         strict=True,
